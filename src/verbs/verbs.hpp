@@ -18,6 +18,7 @@
 
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "nic/nic.hpp"
@@ -57,8 +58,13 @@ inline constexpr int kErrTimedOut = -110;  // ETIMEDOUT
 
 class Context {
  public:
+  /// Throws std::invalid_argument for opts.tx_batch == 0.
   Context(os::Host& host, std::size_t core_idx, ContextOptions opts = {})
-      : host_(&host), core_(&host.core(core_idx)), opts_(opts) {}
+      : host_(&host), core_(&host.core(core_idx)), opts_(opts) {
+    if (opts_.tx_batch == 0) {
+      throw std::invalid_argument("verbs::Context: tx_batch must be >= 1");
+    }
+  }
 
   os::Host& host() { return *host_; }
   os::Core& core() { return *core_; }

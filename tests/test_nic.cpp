@@ -27,9 +27,7 @@ struct TwoNodeFixture {
   std::unique_ptr<Nic> nic0;
   std::unique_ptr<Nic> nic1;
 
-  explicit TwoNodeFixture(NicConfig c = {},
-                          sim::QueueKind q = sim::QueueKind::kHeap)
-      : engine(q), cfg(c) {
+  explicit TwoNodeFixture(NicConfig c = {}) : cfg(c) {
     network.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
@@ -812,51 +810,6 @@ TEST(Segmentation, NicCountersTrackExactChunkCounts) {
   EXPECT_EQ(p.rcq1->poll(wc), sizes.size());
   EXPECT_EQ(f.nic0->counters().seg_msgs, sizes.size());
   EXPECT_EQ(f.nic0->counters().seg_chunks, want_chunks);
-}
-
-TEST(Segmentation, DeliveryTimesIdenticalAcrossQueueBackends) {
-  // The same boundary-size workload must finish at the same simulated
-  // instant under the heap and calendar event queues — segmentation math
-  // must not depend on the scheduler backend.
-  auto run = [](sim::QueueKind q) {
-    TwoNodeFixture f({}, q);
-    auto p = f.connect_rc();
-    const std::uint32_t mtu = f.cfg.mtu;
-    const std::uint32_t max_size = 3 * mtu + 1;
-    std::vector<std::byte> src(max_size), dst(max_size);
-    const auto& smr = f.nic0->register_mr(p.pd0, src.data(), src.size(), 0);
-    const auto& rmr =
-        f.nic1->register_mr(p.pd1, dst.data(), dst.size(), kAccessLocalWrite);
-    std::vector<Time> completion_times;
-    p.scq0->set_event_handler([&](CompletionQueue& cq) {
-      completion_times.push_back(f.engine.now());
-      cq.arm();
-    });
-    p.scq0->arm();
-    for (const std::uint32_t size : {1u, mtu, 3 * mtu, 3 * mtu + 1}) {
-      EXPECT_EQ(f.nic1->post_recv(
-                    *p.qp1,
-                    RecvWr{size, {reinterpret_cast<std::uintptr_t>(dst.data()),
-                                  max_size, rmr.lkey}}),
-                kOk);
-      EXPECT_EQ(
-          f.nic0->post_send(
-              *p.qp0,
-              SendWr{.wr_id = size,
-                     .opcode = Opcode::kSend,
-                     .sge = {reinterpret_cast<std::uintptr_t>(src.data()),
-                             size, smr.lkey},
-                     .signaled = true}),
-          kOk);
-    }
-    f.engine.run();
-    completion_times.push_back(f.engine.now());
-    return completion_times;
-  };
-  const auto heap = run(sim::QueueKind::kHeap);
-  const auto calendar = run(sim::QueueKind::kCalendar);
-  ASSERT_EQ(heap.size(), 5u) << "4 completions + final engine time";
-  EXPECT_EQ(heap, calendar);
 }
 
 }  // namespace

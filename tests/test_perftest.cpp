@@ -282,6 +282,24 @@ TEST(Transports, UdValidation) {
                std::invalid_argument);
   EXPECT_THROW(run_latency(core::system_l(), quick(TestOp::kSend, 8192, Transport::kUD)),
                std::invalid_argument);
+  // Degenerate run shapes fail loudly instead of aborting, hanging or
+  // running silently clamped.
+  Params no_iters = quick(TestOp::kSend, 64);
+  no_iters.iterations = 0;
+  EXPECT_THROW(run_bandwidth(core::system_l(), no_iters), std::invalid_argument);
+  EXPECT_THROW(run_latency(core::system_l(), no_iters), std::invalid_argument);
+  Params neg_warmup = quick(TestOp::kSend, 64);
+  neg_warmup.warmup = -1;
+  EXPECT_THROW(run_latency(core::system_l(), neg_warmup), std::invalid_argument);
+  Params no_depth = quick(TestOp::kSend, 64);
+  no_depth.tx_depth = 0;
+  EXPECT_THROW(run_bandwidth(core::system_l(), no_depth), std::invalid_argument);
+  Params no_batch = quick(TestOp::kSend, 64);
+  no_batch.tx_batch = 0;
+  EXPECT_THROW(run_bandwidth(core::system_l(), no_batch), std::invalid_argument);
+  core::System sys(core::system_l(), 2);
+  EXPECT_THROW(verbs::Context(sys.host(0), 0, {.tx_batch = 0}),
+               std::invalid_argument);
 }
 
 TEST(Transports, UdLatencyComparableToRc) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/system.hpp"
@@ -104,6 +105,138 @@ TEST(ShardedEngine, SequentialMergesGlobalTimeOrder) {
   EXPECT_EQ(se.stats().sequential_events, 4u);
 }
 
+// --- Randomized differential: conservative sharding vs one engine ------
+//
+// A synthetic model built so that THE SAME final state is reachable under
+// any legal execution order: every event's behavior is a pure function of
+// (seed, shard, step) — never of model state — and all state writes are
+// commutative accumulations. That lets one model run on a single engine
+// and under conservative sharded sync, and demand bit-equal final
+// accumulators, final times, event counts and zero clamps for any
+// topology/seed.
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+struct ModelCfg {
+  std::size_t shards = 2;
+  Time lookahead = 100;
+  std::uint64_t seed = 1;
+  std::uint32_t chain_len = 64;  // events per shard chain
+  Time gap_mod = 1;              // per-event delta = base_gap + h % gap_mod
+  std::uint32_t post_every = 4;  // cross-post when h % post_every == 0
+  std::vector<Time> base_gap;    // per shard
+};
+
+struct ModelResult {
+  std::vector<std::uint64_t> acc;  // one commutative accumulator per shard
+  Time final_time = 0;
+  std::uint64_t events = 0;
+  std::uint64_t clamped = 0;
+};
+
+// Executor seam: where events live and how cross-"shard" posts travel.
+struct SingleExec {
+  explicit SingleExec(const ModelCfg&) {}
+  sim::Engine& engine(std::size_t) { return eng; }
+  void post(std::size_t, std::size_t, Time t, sim::InlineFn fn) {
+    eng.call_at(t, std::move(fn));
+  }
+  Time run() { return eng.run(); }
+  std::uint64_t events() const { return eng.events_processed(); }
+  std::uint64_t clamped() const { return eng.clamped_events(); }
+  sim::Engine eng;
+};
+
+struct ShardExec {
+  explicit ShardExec(const ModelCfg& cfg) : se(cfg.shards) {
+    se.set_lookahead(cfg.lookahead);
+  }
+  sim::Engine& engine(std::size_t s) { return se.shard(s); }
+  void post(std::size_t src, std::size_t dst, Time t, sim::InlineFn fn) {
+    se.shard(src).cross_post(se.shard(dst), t, std::move(fn));
+  }
+  Time run() { return se.run(); }
+  std::uint64_t events() const { return se.events_processed(); }
+  std::uint64_t clamped() const { return se.clamped_events(); }
+  sim::ShardedEngine se;
+};
+
+// One chain step on logical shard `s`. Everything below is a pure
+// function of (cfg.seed, s, k): scheduling decisions never read model
+// state, so the executed event set is identical under both executors.
+template <typename Exec>
+void chain_step(Exec& ex, const ModelCfg& cfg,
+                std::vector<std::uint64_t>& acc, std::uint32_t s,
+                std::uint32_t k) {
+  sim::Engine& e = ex.engine(s);
+  const Time t = e.now();
+  const std::uint64_t h = splitmix(cfg.seed ^ (s * 0x10001ULL) ^ k);
+  acc[s] += h;
+  if (cfg.shards > 1 && cfg.post_every != 0 && h % cfg.post_every == 0) {
+    const auto dst = static_cast<std::uint32_t>(
+        (s + 1 + (h >> 8) % (cfg.shards - 1)) % cfg.shards);
+    const Time post_t =
+        t + cfg.lookahead + static_cast<Time>((h >> 16) % 16);
+    const std::uint64_t v = splitmix(h);
+    ex.post(s, dst, post_t, sim::InlineFn([&acc, dst, v] { acc[dst] += v; }));
+  }
+  if (k + 1 < cfg.chain_len) {
+    const Time delta = cfg.base_gap[s] + static_cast<Time>(h % cfg.gap_mod);
+    e.call_at(t + delta, [&ex, &cfg, &acc, s, k] {
+      chain_step(ex, cfg, acc, s, k + 1);
+    });
+  }
+}
+
+template <typename Exec>
+ModelResult run_model(const ModelCfg& cfg) {
+  Exec ex(cfg);
+  std::vector<std::uint64_t> acc(cfg.shards, 0);
+  for (std::uint32_t s = 0; s < cfg.shards; ++s) {
+    ex.engine(s).call_at(static_cast<Time>(1 + s), [&ex, &cfg, &acc, s] {
+      chain_step(ex, cfg, acc, s, 0);
+    });
+  }
+  ModelResult r;
+  r.final_time = ex.run();
+  r.acc = acc;
+  r.events = ex.events();
+  r.clamped = ex.clamped();
+  return r;
+}
+
+TEST(ShardedEngine, RandomizedDifferentialAgainstSingleEngine) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const std::uint64_t h = splitmix(seed * 0xabcdULL);
+    ModelCfg cfg;
+    cfg.shards = 2 + h % 3;  // 2..4
+    cfg.lookahead = 50 + static_cast<Time>((h >> 8) % 200);
+    cfg.seed = seed;
+    cfg.chain_len = 48 + static_cast<std::uint32_t>((h >> 16) % 128);
+    cfg.gap_mod = 1 + static_cast<Time>((h >> 32) % 96);
+    cfg.post_every = 1 + static_cast<std::uint32_t>((h >> 40) % 5);
+    // Skew one shard slow so the shards' clocks drift apart and the
+    // windows see arrivals from both directions.
+    const Time gap = 10 + static_cast<Time>((h >> 24) % 64);
+    cfg.base_gap.assign(cfg.shards, gap);
+    cfg.base_gap[h % cfg.shards] = gap * 16;
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " shards=" + std::to_string(cfg.shards));
+    const ModelResult single = run_model<SingleExec>(cfg);
+    const ModelResult cons = run_model<ShardExec>(cfg);
+    EXPECT_EQ(single.acc, cons.acc);
+    EXPECT_EQ(single.final_time, cons.final_time);
+    EXPECT_EQ(single.events, cons.events);
+    EXPECT_EQ(0u, single.clamped);
+    EXPECT_EQ(0u, cons.clamped);
+  }
+}
+
 // --- Determinism: sharded runs against the single-engine goldens ------
 //
 // The values are the GoldenSmoke goldens from test_fastpath.cpp (hex
@@ -123,6 +256,7 @@ TEST(ShardedGolden, SendLatencyMatchesSingleEngineGoldens) {
     EXPECT_EQ(r.avg_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
     EXPECT_EQ(r.p50_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
     EXPECT_EQ(r.p99_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
+    EXPECT_EQ(r.clamped_events, 0u);
     EXPECT_GT(r.shard_windows, 0u);
     EXPECT_GT(r.shard_messages, 0u);
   }
@@ -249,117 +383,6 @@ TEST(ShardedGolden, CanonicalTraceIsShardInvariant) {
                            t1.size() * sizeof(trace::Record)));
   EXPECT_EQ(0, std::memcmp(t1.data(), t4.data(),
                            t1.size() * sizeof(trace::Record)));
-}
-
-// --- Determinism: the speculative sync mode against the same goldens --
-//
-// The NIC stack never marks a callback replayable, so under
-// sync=speculative every event beyond the conservative edge is a fence:
-// the optimistic mode must execute the exact conservative schedule and
-// reproduce every single-engine golden bit-for-bit, with zero dispatches
-// journaled. This is the safety half of the Time-Warp work; the speedup
-// half lives in bench_shard_scaling's replayable workload.
-
-TEST(SpeculativeGolden, SendLatencyMatchesSingleEngineGoldens) {
-  const auto cfg = core::system_l();
-  for (std::size_t shards : {2u, 4u}) {
-    for (sim::QueueKind queue : {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      perftest::Params p;
-      p.op = perftest::TestOp::kSend;
-      p.msg_size = 64;
-      p.iterations = 50;
-      p.warmup = 10;
-      p.shards = shards;
-      p.queue = queue;
-      p.sync = sim::SyncMode::kSpeculative;
-      const auto r = perftest::run_latency(cfg, p);
-      EXPECT_EQ(r.avg_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.p50_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.p99_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.clamped_events, 0u);
-      EXPECT_EQ(r.shard_journaled, 0u);  // all-fence workload
-      EXPECT_EQ(r.shard_rollbacks, 0u);
-      EXPECT_GT(r.shard_windows, 0u);
-      EXPECT_GT(r.shard_messages, 0u);
-    }
-  }
-}
-
-TEST(SpeculativeGolden, LargeAndInterruptLatencyMatchGoldens) {
-  const auto cfg = core::system_l();
-  {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 4096;
-    p.iterations = 50;
-    p.warmup = 10;
-    p.shards = 2;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.avg_us, 0x1.2ae147ae147aep+1);
-  }
-  {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 64;
-    p.iterations = 50;
-    p.warmup = 10;
-    p.knobs.interrupt_wait = true;
-    p.shards = 2;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.avg_us, 0x1.74e1719f7f8cbp+2);
-  }
-}
-
-TEST(SpeculativeGolden, BandwidthMatchesSingleEngineGolden) {
-  const auto cfg = core::system_l();
-  for (std::size_t shards : {2u, 4u}) {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 65536;
-    p.iterations = 200;
-    p.shards = shards;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_bandwidth(cfg, p);
-    EXPECT_EQ(r.gbps, 0x1.899e6c9441779p+6) << "shards=" << shards;
-    EXPECT_EQ(r.messages, 200u);
-    EXPECT_EQ(r.elapsed, 1'065'575'000) << "shards=" << shards;
-    EXPECT_EQ(r.shard_journaled, 0u);
-  }
-}
-
-TEST(SpeculativeGolden, CanonicalTraceIsSyncModeInvariant) {
-  const auto cfg = core::system_l();
-  auto capture = [&](std::size_t shards, sim::SyncMode sync,
-                     sim::QueueKind queue) {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 256;
-    p.iterations = 20;
-    p.warmup = 5;
-    p.shards = shards;
-    p.sync = sync;
-    p.queue = queue;
-    p.capture_trace = true;
-    auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.trace_dropped, 0u);
-    return trace::canonical_trace(std::move(r.trace));
-  };
-  const auto single =
-      capture(1, sim::SyncMode::kConservative, sim::QueueKind::kHeap);
-  ASSERT_FALSE(single.empty());
-  for (std::size_t shards : {2u, 4u}) {
-    for (sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      const auto spec = capture(shards, sim::SyncMode::kSpeculative, queue);
-      ASSERT_EQ(single.size(), spec.size())
-          << "shards=" << shards << " queue=" << static_cast<int>(queue);
-      EXPECT_EQ(0, std::memcmp(single.data(), spec.data(),
-                               single.size() * sizeof(trace::Record)))
-          << "shards=" << shards << " queue=" << static_cast<int>(queue);
-    }
-  }
 }
 
 // --- Satellite: NIC doorbell/completion batching ----------------------
