@@ -128,7 +128,7 @@ int main() {
       std::make_unique<os::StatsCollector>(kernel.metrics())));
 
   // Arm the tracer for the whole phase: every WR leaves a span chain.
-  sys.tracer().set_enabled(true);
+  sys.set_tracing(true);
 
   // Arm the tail-latency watchdog: tenant 9's p99 must stay under 5 us.
   // Its 64 KiB payloads take >5.2 us of wire serialization alone at
@@ -196,7 +196,7 @@ int main() {
               static_cast<unsigned long long>(violations_good));
   const bool watchdog_ok = violations_bad > 0 && violations_good == 0;
 
-  const std::vector<trace::Record> records = sys.tracer().snapshot();
+  const std::vector<trace::Record> records = sys.merged_trace();
   const std::size_t chains = complete_chains(records);
   const std::string trace_path = artifact_path("observability_trace.json");
   const std::string csv_path = artifact_path("observability_trace.csv");

@@ -1,8 +1,8 @@
 #include "core/system.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
-
-#include "trace/export.hpp"
 
 namespace cord::core {
 
@@ -67,34 +67,8 @@ SystemConfig system_a() {
   return c;
 }
 
-std::vector<std::uint32_t> System::make_placement(
-    std::size_t host_count, std::size_t shards,
-    std::vector<std::uint32_t> placement) {
-  if (shards == 0) throw std::invalid_argument("shards must be >= 1");
-  if (placement.empty()) {
-    placement.resize(host_count);
-    for (std::size_t i = 0; i < host_count; ++i) {
-      placement[i] = static_cast<std::uint32_t>(i * shards / host_count);
-    }
-    return placement;
-  }
-  if (placement.size() != host_count) {
-    throw std::invalid_argument("placement size != host count");
-  }
-  for (std::uint32_t s : placement) {
-    if (s >= shards) throw std::invalid_argument("placement shard out of range");
-  }
-  return placement;
-}
-
-System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
-               std::vector<std::uint32_t> placement)
-    : cfg_(std::move(cfg)),
-      placement_(make_placement(host_count, shards, std::move(placement))),
-      sharded_(shards),
-      network_([this](fabric::NodeId n) -> sim::Engine& {
-        return sharded_.shard(placement_.at(n));
-      }) {
+System::System(SystemConfig cfg, std::size_t host_count)
+    : cfg_(std::move(cfg)), network_(engine_), tracer_(engine_) {
   for (std::size_t i = 0; i < host_count; ++i) {
     network_.add_node(static_cast<nic::NodeId>(i), cfg_.loopback_bandwidth,
                       cfg_.loopback_delay);
@@ -124,66 +98,28 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
             std::to_string(rack.hosts_per_rack) + " hosts) does not match "
             "host_count = " + std::to_string(host_count));
       }
-      // Switch placement: a rack (its hosts + its ToR) is one engine
-      // domain, so the ToR rides on its rack's shard; rack-misaligned host
-      // placements are rejected up front (compute_routes would also catch
-      // them, with a less direct message). The spine never drives a hop
-      // resource (both uplink directions bind ToR-side), so its placement
-      // entry is only needed for Network bookkeeping.
-      for (std::size_t r = 0; r < rack.racks; ++r) {
-        const std::uint32_t shard = placement_.at(r * rack.hosts_per_rack);
-        for (std::size_t h = 1; h < rack.hosts_per_rack; ++h) {
-          if (placement_.at(r * rack.hosts_per_rack + h) != shard) {
-            throw std::invalid_argument(
-                "System: rack " + std::to_string(r) +
-                " straddles shards — sharded rack topologies require "
-                "rack-aligned placements (all hosts of a rack on one "
-                "shard)");
-          }
-        }
-        placement_.push_back(shard);  // ToR of rack r
-      }
-      if (rack.racks > 1) placement_.push_back(placement_.at(0));  // spine
       fabric::build_rack(network_, rack);
       break;
     }
   }
-  // The partition's lookahead, per shard pair: the minimum source-side
-  // propagation of any routed path crossing each pair (pairs no path
-  // crosses stay unbounded). A cross-shard path with zero propagation
-  // would admit no parallel window at all, so it is rejected here (at
-  // setup) rather than deadlocking or — worse — silently reordering at
-  // run time.
-  if (shards > 1) {
-    sharded_.set_lookahead(network_.cross_lookahead_matrix(
-        [this](fabric::NodeId n) { return placement_.at(n); }, shards));
-  }
   for (std::size_t i = 0; i < host_count; ++i) {
     hosts_.push_back(std::make_unique<os::Host>(
-        engine_for(static_cast<nic::NodeId>(i)), network_, registry_,
-        static_cast<nic::NodeId>(i), cfg_.nic, cfg_.cpu, cfg_.kernel));
-  }
-  tracers_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    tracers_.push_back(std::make_unique<trace::Tracer>(sharded_.shard(s)));
-    // Disjoint span-id sequences per shard: a merged stream keeps one
-    // correlation id per logical work request.
-    tracers_.back()->set_span_range(static_cast<std::uint32_t>(s) + 1,
-                                    static_cast<std::uint32_t>(shards));
+        engine_, network_, registry_, static_cast<nic::NodeId>(i), cfg_.nic,
+        cfg_.cpu, cfg_.kernel));
   }
   // Engine-health gauges, read live (no per-event bookkeeping). The clamp
   // gauge is how the bench harness notices a truncated run (satellite of
   // the observability work: a clamped run is a lie unless surfaced).
   metrics_.callback_gauge("engine.events_processed", [this] {
-    return static_cast<std::int64_t>(sharded_.events_processed());
+    return static_cast<std::int64_t>(engine_.events_processed());
   });
   metrics_.callback_gauge("engine.clamped_events", [this] {
-    return static_cast<std::int64_t>(sharded_.clamped_events());
+    return static_cast<std::int64_t>(engine_.clamped_events());
   });
   // Event-queue health: depth high-water mark — a live view, zero
   // per-event bookkeeping.
   metrics_.callback_gauge("engine.queue_peak_depth", [this] {
-    return static_cast<std::int64_t>(sharded_.queue_peak_depth());
+    return static_cast<std::int64_t>(engine_.queue_peak_depth());
   });
   // System-wide NIC doorbell/burst totals, summed over hosts at read
   // time. Mirrors the per-host gauges each Kernel exposes through
@@ -217,14 +153,6 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
   metrics_.callback_gauge("nic.seg_chunks", [nic_sum] {
     return nic_sum(&nic::NicCounters::seg_chunks);
   });
-  // Shard-synchronization health: live views of the coordinator's
-  // per-run stats (zero with one shard).
-  metrics_.callback_gauge("sim.shard.windows", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().windows);
-  });
-  metrics_.callback_gauge("sim.shard.messages", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().messages);
-  });
   // Causal-layer health: spans analyzed, watchdog firings, and the global
   // p99 end-to-end latency — all views of the aggregate analyze_causal()
   // last built (zero until it runs; no data-path cost ever).
@@ -239,24 +167,23 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
   });
 }
 
-void System::set_tracing(bool on) {
-  for (auto& t : tracers_) t->set_enabled(on);
-}
-
 std::vector<trace::Record> System::merged_trace() const {
-  // Single shard: the stream as emitted (byte-identical to the tracer's
-  // snapshot; emission order is the pre-sharding trace contract).
-  if (tracers_.size() == 1) return tracers_.front()->snapshot();
-  std::vector<std::vector<trace::Record>> streams;
-  streams.reserve(tracers_.size());
-  for (const auto& t : tracers_) streams.push_back(t->snapshot());
-  return trace::merge_by_time(std::move(streams));
-}
-
-std::uint64_t System::trace_dropped() const {
-  std::uint64_t d = 0;
-  for (const auto& t : tracers_) d += t->dropped();
-  return d;
+  // Stable by time: order emission indices by (t, index), then copy the
+  // records out in that order. Sorting 4-byte indices instead of the
+  // 40-byte records (std::stable_sort would also allocate a half-size
+  // scratch copy) keeps the export's peak memory near one extra copy.
+  std::vector<std::uint32_t> order(tracer_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              const sim::Time ta = tracer_[a].t;
+              const sim::Time tb = tracer_[b].t;
+              return ta != tb ? ta < tb : a < b;
+            });
+  std::vector<trace::Record> records;
+  records.reserve(order.size());
+  for (const std::uint32_t i : order) records.push_back(tracer_[i]);
+  return records;
 }
 
 const trace::causal::Aggregator& System::analyze_causal() {

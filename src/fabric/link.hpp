@@ -11,27 +11,16 @@
 // store-and-forward at MTU-chunk granularity (see topology.hpp for the
 // rack preset and topology.cpp for route computation).
 //
-// Sharding: every hop's serialization Resource is bound to the engine of
-// the endpoint that *drives* it — for host<->switch and switch<->spine
-// links both directions bind to the lower-tier (host-side) endpoint, so
-// the uplink segment of a route is reserved by the sending host's shard
-// and the downlink segment by the receiving host's shard. Only the
-// timestamped boundary arrival crosses shards, which preserves the
-// sharding invariant of sim/sharded.hpp. The src-prefix/dst-suffix split
-// point (Path::src_hops) is *topological* — climbing hops are source-
-// side, descending hops destination-side — so it is identical at every
-// shard count; compute_routes() validates that the placement's engine
-// bindings agree with that split for every routed pair and rejects
-// placements that would make a middle hop race (e.g. a rack whose hosts
-// straddle shards). The source-side propagation of a route is therefore a
-// lower bound on cross-shard latency, i.e. the conservative lookahead of
-// that shard pair (cross_lookahead_matrix).
+// Every routed Path splits *topologically* into a source-side prefix
+// (tier-climbing hops) and a destination-side suffix (tier-descending
+// hops); see Path::src_hops. The split point dates UD send completions
+// (local wire egress) and the hand-off of control packets to their
+// non-contending priority lane.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -58,16 +47,11 @@ struct Hop {
 
 /// The directed path from a source host towards a destination host: up to
 /// kMaxHops store-and-forward hops. The first `src_hops` hops are the
-/// tier-climbing (source-side) segment, reserved by the sender; the
-/// remaining tier-descending hops are reserved at arrival time (plain
-/// data crosses the shard boundary, never a Resource). The split is a
-/// function of the route's shape alone — NOT of shard placement — so the
-/// boundary (and everything dated at it, e.g. UD completions and the
-/// ctrl-lane handoff) is identical in fused and sharded execution; in a
-/// sharded run compute_routes additionally validates that the prefix is
-/// engine-bound to the source and the suffix to the destination. A direct
-/// link or a loopback is the 1-hop special case with src_hops ==
-/// hop_count == 1.
+/// tier-climbing (source-side) segment; the remaining tier-descending hops
+/// form the destination-side segment. The split is a function of the
+/// route's shape alone, and everything dated at the boundary (UD
+/// completions, the ctrl-lane handoff) follows from it. A direct link or a
+/// loopback is the 1-hop special case with src_hops == hop_count == 1.
 struct Path {
   static constexpr std::size_t kMaxHops = 4;  // host->ToR->spine->ToR->host
   std::array<Hop, kMaxHops> hops{};
@@ -90,8 +74,7 @@ struct Path {
   }
 
   /// Reserve the destination-side segment for a chunk that crossed the
-  /// boundary at `at`; returns arrival at the destination node. Must run
-  /// on the destination's engine (its thread owns these resources).
+  /// boundary at `at`; returns arrival at the destination node.
   sim::Time reserve_dst(sim::Time at, std::uint64_t wire_bytes) const {
     sim::Time t = at;
     for (std::size_t i = src_hops; i < hop_count; ++i) {
@@ -101,8 +84,8 @@ struct Path {
     return t;
   }
 
-  /// Reserve every hop (single-engine callers only, e.g. the socket
-  /// stack): equivalent to reserve_dst(reserve_src(...)).
+  /// Reserve every hop (e.g. the socket stack): equivalent to
+  /// reserve_dst(reserve_src(...)).
   sim::Time reserve_all(sim::Time ready, std::uint64_t wire_bytes) const {
     return reserve_dst(reserve_src(ready, wire_bytes), wire_bytes);
   }
@@ -118,15 +101,6 @@ struct Path {
     return t;
   }
 
-  /// Total propagation of the source-side segment: the hard lower bound on
-  /// how soon a message on this path can cross the shard boundary — the
-  /// conservative lookahead contribution of this route.
-  sim::Time src_propagation() const {
-    sim::Time t = 0;
-    for (std::size_t i = 0; i < src_hops; ++i) t += hops[i].propagation;
-    return t;
-  }
-
   /// Total propagation over all hops.
   sim::Time propagation() const {
     sim::Time t = 0;
@@ -137,17 +111,12 @@ struct Path {
 
 class Link {
  public:
-  /// `engine_ab`/`engine_ba` own the a->b / b->a transmit resources. The
-  /// binding is decided by Network::connect (lower-tier endpoint drives
-  /// both directions of a tiered link; per-source for equal tiers).
-  Link(sim::Engine& engine_ab, sim::Engine& engine_ba, NodeId a, NodeId b,
-       sim::Bandwidth bw, sim::Time propagation)
+  Link(sim::Engine& engine, NodeId a, NodeId b, sim::Bandwidth bw,
+       sim::Time propagation)
       : a_(a),
         b_(b),
-        a_to_b_(engine_ab),
-        b_to_a_(engine_ba),
-        engine_ab_(&engine_ab),
-        engine_ba_(&engine_ba),
+        a_to_b_(engine),
+        b_to_a_(engine),
         bandwidth_(bw),
         propagation_(propagation) {}
 
@@ -159,13 +128,6 @@ class Link {
   sim::Resource* tx_from(NodeId src) {
     if (src == a_) return &a_to_b_;
     if (src == b_) return &b_to_a_;
-    throw std::invalid_argument("node not on this link");
-  }
-
-  /// Engine the `src`-sourced direction's resource is bound to.
-  sim::Engine* engine_from(NodeId src) const {
-    if (src == a_) return engine_ab_;
-    if (src == b_) return engine_ba_;
     throw std::invalid_argument("node not on this link");
   }
 
@@ -182,8 +144,6 @@ class Link {
   NodeId b_;
   sim::Resource a_to_b_;
   sim::Resource b_to_a_;
-  sim::Engine* engine_ab_;
-  sim::Engine* engine_ba_;
   sim::Bandwidth bandwidth_;
   sim::Time propagation_;
 };
@@ -192,16 +152,8 @@ class Link {
 /// route table between hosts (computed on demand; see topology.cpp).
 class Network {
  public:
-  /// Maps a node to the engine that simulates it (shard placement). Must
-  /// cover switch nodes as well as hosts.
-  using EngineOf = std::function<sim::Engine&(NodeId)>;
-
-  /// Single-engine fabric: every node on `engine`.
-  explicit Network(sim::Engine& engine)
-      : engine_of_([&engine](NodeId) -> sim::Engine& { return engine; }) {}
-
-  /// Shard-aware fabric: each node's resources bind to its own engine.
-  explicit Network(EngineOf engine_of) : engine_of_(std::move(engine_of)) {}
+  /// Every link, switch and loopback resource runs on `engine`.
+  explicit Network(sim::Engine& engine) : engine_(&engine) {}
 
   /// Create a bidirectional link between two nodes. Reconnecting an
   /// existing pair throws: replacing the Link would dangle the Path hop
@@ -215,16 +167,7 @@ class Network {
           " are already linked (reconnecting would invalidate Path "
           "resources held by NICs)");
     }
-    // Binding rule: the lower-tier endpoint drives both directions (its
-    // shard's thread is the only one that ever reserves them — uplinks by
-    // the sending rack, downlinks by the receiving rack). Equal tiers
-    // (host-host direct wires) keep the legacy per-source binding.
-    const int ta = tier_of(a), tb = tier_of(b);
-    sim::Engine& ea = engine_of_(a);
-    sim::Engine& eb = engine_of_(b);
-    sim::Engine& e_ab = ta <= tb ? ea : eb;
-    sim::Engine& e_ba = tb <= ta ? eb : ea;
-    links_[key] = std::make_unique<Link>(e_ab, e_ba, a, b, bw, propagation);
+    links_[key] = std::make_unique<Link>(*engine_, a, b, bw, propagation);
     routes_ready_ = false;
   }
 
@@ -234,7 +177,7 @@ class Network {
   void add_node(NodeId n, sim::Bandwidth loopback_bw, sim::Time loopback_delay) {
     auto [it, inserted] = loopback_.try_emplace(n);
     if (inserted) {
-      it->second.resource = std::make_unique<sim::Resource>(engine_of_(n));
+      it->second.resource = std::make_unique<sim::Resource>(*engine_);
     }
     it->second.bandwidth = loopback_bw;
     it->second.delay = loopback_delay;
@@ -301,28 +244,10 @@ class Network {
   /// Compute static shortest-path routes between every host pair (BFS by
   /// hop count, ties broken towards lower node ids — deterministic), and
   /// split each route topologically: tier-climbing hops form the source
-  /// prefix, tier-descending hops the destination suffix (identical at
-  /// every shard count). Validates that the prefix is driven by the
-  /// source's engine and the suffix by the destination's; throws
-  /// std::invalid_argument for placements that would make a hop race
+  /// prefix, tier-descending hops the destination suffix. Throws
+  /// std::invalid_argument for routes that climb again after descending
   /// (defined in topology.cpp).
   void compute_routes();
-
-  /// Conservative lookahead of a partition: the minimum source-side
-  /// propagation over routed host pairs that `shard_of` places on
-  /// different shards. Returns sim::Engine::kNoEvent when nothing crosses
-  /// a shard boundary (ShardedEngine::set_lookahead clamps it to its
-  /// unbounded sentinel). A zero result means the partition is invalid
-  /// for parallel execution; ShardedEngine::set_lookahead rejects it.
-  sim::Time min_cross_lookahead(
-      const std::function<std::size_t(NodeId)>& shard_of);
-
-  /// Per-shard-pair lookahead matrix (row-major, [src * shards + dst]):
-  /// entry (i, j) is the minimum source-side propagation over host pairs
-  /// placed on (i, j); sim::Engine::kNoEvent where no routed pair crosses
-  /// (i, j). Feed to ShardedEngine::set_lookahead(matrix).
-  std::vector<sim::Time> cross_lookahead_matrix(
-      const std::function<std::size_t(NodeId)>& shard_of, std::size_t shards);
 
  private:
   static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
@@ -359,7 +284,7 @@ class Network {
     std::vector<NodeId> nodes;  // src .. dst inclusive
   };
 
-  EngineOf engine_of_;
+  sim::Engine* engine_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
   std::map<NodeId, Loopback> loopback_;
   std::map<NodeId, Switch> switches_;

@@ -82,21 +82,14 @@ void Network::compute_routes() {
       RouteEntry entry;
       entry.nodes = nodes;
       entry.path.hop_count = static_cast<std::uint8_t>(hops);
-      // Sharding split: the first src_hops hops are reserved by the
-      // sender, the rest by the receiver, and only a timestamped arrival
-      // crosses the boundary. The split point must be a pure function of
-      // the route's *shape*, never of shard placement — otherwise fused
-      // (1-shard) and sharded runs would reserve different segments, date
-      // UD completions at different points, and hand control packets to
-      // the non-contending suffix lane at different hops, breaking the
-      // bit-identity guarantee. The tier structure gives exactly that: a
-      // hop leaving its lower-or-equal-tier upstream endpoint (climbing)
-      // is driven by that endpoint and belongs to the source side; a hop
-      // dropping down a tier is driven by its downstream endpoint and
-      // belongs to the destination side. Leaf-spine routes climb then
-      // descend, so the result is always a prefix/suffix split.
-      sim::Engine* const se = &engine_of_(src);
-      sim::Engine* const de = &engine_of_(dst);
+      // Source/destination split: the first src_hops hops are the
+      // source-side segment (UD completes at its end; ctrl packets ride
+      // a non-contending lane past it). The split is a pure function of
+      // the route's *shape*: a hop leaving its lower-or-equal-tier
+      // upstream endpoint (climbing) belongs to the source side; a hop
+      // dropping down a tier belongs to the destination side. Leaf-spine
+      // routes climb then descend, so the result is always a
+      // prefix/suffix split.
       std::size_t prefix = 0;
       bool descending = false;
       for (std::size_t i = 0; i < hops; ++i) {
@@ -118,20 +111,6 @@ void Network::compute_routes() {
         }
         if (!climbs) descending = true;
         if (!descending) ++prefix;
-        // Placement validation: the topological prefix must be driven by
-        // the source's engine and the suffix by the destination's, or a
-        // middle hop's resource would be touched from two shard threads.
-        sim::Engine* const he = link->engine_from(u);
-        if (he != (descending ? de : se)) {
-          throw std::invalid_argument(
-              "Network::compute_routes: hop " + std::to_string(u) + " -> " +
-              std::to_string(v) + " of the route from " +
-              std::to_string(src) + " to " + std::to_string(dst) +
-              " is not driven by the " +
-              (descending ? "destination" : "source") +
-              "'s engine — the placement splits a rack across shards; "
-              "sharded rack topologies need rack-aligned placements");
-        }
       }
       entry.path.src_hops = static_cast<std::uint8_t>(prefix);
       routes_.emplace(std::pair{src, dst}, std::move(entry));
@@ -154,35 +133,6 @@ std::vector<NodeId> Network::route(NodeId src, NodeId dst) {
                                 std::to_string(dst));
   }
   return it->second.nodes;
-}
-
-sim::Time Network::min_cross_lookahead(
-    const std::function<std::size_t(NodeId)>& shard_of) {
-  sim::Time la = sim::Engine::kNoEvent;
-  for (const auto& [src, lb_s] : loopback_) {
-    for (const auto& [dst, lb_d] : loopback_) {
-      if (src == dst || shard_of(src) == shard_of(dst)) continue;
-      if (!has_path(src, dst)) continue;
-      la = std::min(la, path(src, dst).src_propagation());
-    }
-  }
-  return la;
-}
-
-std::vector<sim::Time> Network::cross_lookahead_matrix(
-    const std::function<std::size_t(NodeId)>& shard_of, std::size_t shards) {
-  std::vector<sim::Time> m(shards * shards, sim::Engine::kNoEvent);
-  for (const auto& [src, lb_s] : loopback_) {
-    for (const auto& [dst, lb_d] : loopback_) {
-      if (src == dst) continue;
-      const std::size_t i = shard_of(src);
-      const std::size_t j = shard_of(dst);
-      if (i == j || !has_path(src, dst)) continue;
-      sim::Time& cell = m[i * shards + j];
-      cell = std::min(cell, path(src, dst).src_propagation());
-    }
-  }
-  return m;
 }
 
 }  // namespace cord::fabric

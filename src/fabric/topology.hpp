@@ -10,12 +10,6 @@
 //           \          /
 //            \        /
 //              spine
-//
-// Sharding contract: both directions of every host<->ToR and ToR<->spine
-// link bind to the lower-tier endpoint's engine, so a host's rack (host +
-// its ToR) forms one engine domain. Placements must therefore be
-// rack-aligned when shards > 1 (all hosts of a rack on one shard) —
-// Network::compute_routes rejects anything else.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +45,7 @@ struct RackConfig {
 /// Wire `cfg` into `net` and compute the static routes. The hosts
 /// [0, cfg.host_count()) must already be registered with add_node (the
 /// builder adds only switches and links). Throws std::invalid_argument for
-/// degenerate shapes (zero racks/hosts) and propagates compute_routes'
-/// placement validation errors.
+/// degenerate shapes (zero racks/hosts).
 void build_rack(Network& net, const RackConfig& cfg);
 
 }  // namespace cord::fabric

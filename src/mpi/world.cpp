@@ -1,5 +1,7 @@
 #include "mpi/world.hpp"
 
+#include <stdexcept>
+
 namespace cord::mpi {
 
 sim::Task<> Rank::barrier() {
@@ -15,7 +17,15 @@ sim::Task<> Rank::barrier() {
 }
 
 World::World(core::System& system, int nranks, WorldConfig cfg)
-    : system_(&system), cfg_(cfg), nranks_(nranks) {}
+    : system_(&system), cfg_(cfg), nranks_(nranks) {
+  if (nranks < 1) throw std::invalid_argument("World: nranks must be >= 1");
+  if (cfg.send_slots == 0) {
+    throw std::invalid_argument("World: send_slots must be >= 1");
+  }
+  if (cfg.srq_slots == 0) {
+    throw std::invalid_argument("World: srq_slots must be >= 1");
+  }
+}
 
 World::Traffic World::traffic() const {
   Traffic t;

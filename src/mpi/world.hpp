@@ -118,6 +118,8 @@ class Rank {
 class World {
  public:
   /// Ranks are block-distributed across the system's hosts, one core each.
+  /// Throws std::invalid_argument for nranks < 1, send_slots == 0 or
+  /// srq_slots == 0.
   World(core::System& system, int nranks, WorldConfig cfg = {});
 
   core::System& system() { return *system_; }

@@ -235,14 +235,14 @@ int Nic::post_recv(QueuePair& qp, RecvWr wr) {
 }
 
 void Nic::kick(QueuePair& qp, std::uint32_t trace_span) {
-  if (qp.sq_worker_active_) {
-    // The SQ worker is already draining this queue: the post rides the
-    // in-flight burst and no doorbell write (or engine event) is modeled.
+  if (qp.sq_active_) {
+    // The SQ is already draining: the post rides the in-flight burst and
+    // no doorbell write (or engine event) is modeled.
     counters_.doorbells_coalesced++;
     return;
   }
   counters_.doorbells++;
-  qp.sq_worker_active_ = true;
+  qp.sq_active_ = true;
   // The doorbell makes the device look up the QP context; if it is not
   // resident in the on-NIC ICM cache, the device stalls for a host-memory
   // fetch before it can schedule the SQ (the connection-count cliff).
@@ -264,19 +264,10 @@ void Nic::sq_resume(std::uint32_t qpn) {
   QueuePair* qp = find_qp(qpn);
   if (qp == nullptr) return;
   if (qp->state_ != QpState::kRts || qp->sq_.empty()) {
-    qp->sq_worker_active_ = false;
+    qp->sq_active_ = false;
     return;
   }
-  if (engine_->tracer() != nullptr) [[unlikely]] {
-    // Trace-fidelity drain: the per-WQE coroutine reserves and records at
-    // the same virtual times, in the same event order, as the pre-fusion
-    // worker — which is the order the canonical traces are committed in
-    // (a single shard's trace buffer is the raw emission order, so fused
-    // future-dated emission would break its time-sortedness).
-    engine_->spawn(sq_worker(qpn));
-  } else {
-    sq_drain_burst(*qp);
-  }
+  sq_drain_burst(*qp);
 }
 
 void Nic::sq_drain_burst(QueuePair& qp) {
@@ -310,21 +301,19 @@ void Nic::sq_drain_burst(QueuePair& qp) {
                          pd, needs_local_write) != nullptr;
   }
   // Processing pass, one event for the whole burst: WQE i's pipeline slot
-  // is reserved when WQE i-1's is known, so slot k ends at the same
-  // f_k = max(now, next_free) + k * wqe_processing the per-WQE worker
-  // computed by waking at f_{k-1} — reserve_at's start is max(now,
-  // earliest, next_free), and no foreign event can interleave inside this
-  // event. Each WQE's downstream chain is reserved with earliest = f_k,
-  // which equals the reservation the worker made at engine-time f_k for
-  // the single-active-writer resources of the NIC model (the same
-  // argument reserve_dst_chain documents).
+  // is reserved when WQE i-1's is known, so slot k ends at
+  // f_k = max(now, next_free) + k * wqe_processing (plus any ICM miss
+  // widening), and no foreign event can interleave inside this event.
+  // Each WQE's downstream chain is reserved with earliest = f_k — the
+  // reservation an event at engine-time f_k would make, given the
+  // single-active-writer resources of the NIC model (the argument
+  // reserve_dst_chain documents).
   counters_.sq_fused_batches++;
   const std::uint32_t qpn = qp.qpn();
   sim::Time last = engine_->now();
   for (std::size_t i = 0; i < n; ++i) {
     // An error surfaced by WQE i-1 flushed the rest of the queue; the
-    // continuation below deactivates the worker at the same virtual time
-    // the per-WQE worker's loop check would have.
+    // continuation below deactivates the drain at the burst's end.
     if (qp.state_ != QpState::kRts || qp.sq_.empty()) break;
     SendWr wr = std::move(qp.sq_.front());
     qp.sq_.pop_front();
@@ -338,31 +327,8 @@ void Nic::sq_drain_burst(QueuePair& qp) {
     process_one(qp, std::move(wr), 0, last, mr_ok, fetch);
   }
   // One continuation event at the burst's end: drains WQEs posted while
-  // this burst was (virtually) processing, or deactivates — at exactly
-  // the time the per-WQE worker would have woken to find the queue empty.
+  // this burst was (virtually) processing, or deactivates the drain.
   engine_->call_at(last, [this, qpn] { sq_resume(qpn); });
-}
-
-sim::Task<> Nic::sq_worker(std::uint32_t qpn) {
-  for (;;) {
-    QueuePair* qp = find_qp(qpn);
-    if (qp == nullptr) co_return;
-    if (qp->state_ != QpState::kRts || qp->sq_.empty()) break;
-    SendWr wr = std::move(qp->sq_.front());
-    qp->sq_.pop_front();
-    qp->sq_inflight_++;
-    counters_.sq_burst_wrs++;
-    // Protection verdict and ICM touch happen at fetch initiation, before
-    // the pipeline slot — the same order (and therefore the same hit/miss
-    // replay) as the fused drain's batched pass.
-    const bool mr_ok = wqe_mr_ok(wr, qp->pd());
-    const sim::Time fetch = wqe_fetch_cost(wr, mr_ok);
-    const sim::Time at = co_await processing_.use(fetch);
-    qp = find_qp(qpn);  // revalidate after suspension
-    if (qp == nullptr) co_return;
-    process_one(*qp, std::move(wr), 0, at, mr_ok, fetch);
-  }
-  if (QueuePair* qp = find_qp(qpn)) qp->sq_worker_active_ = false;
 }
 
 bool Nic::wqe_mr_ok(const SendWr& wr, ProtectionDomainId pd) const {
@@ -403,24 +369,10 @@ void Nic::retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts) {
   }(*this, qpn, std::move(wr), rnr_attempts));
 }
 
-void Nic::retry_send_copy(std::uint32_t qpn, SendWr wr,
-                          std::uint32_t rnr_attempts) {
-  retry_send(qpn, wr_pool_.acquire(std::move(wr)), rnr_attempts);
-}
-
 Nic::SenderMeta Nic::meta_of(const SendWr& wr) {
   return SenderMeta{wr.wr_id, wr.trace_span,
                     static_cast<std::uint32_t>(payload_len(wr)), wr.opcode,
                     wr.signaled};
-}
-
-void Nic::post_remote(Nic& dst, sim::Time t, sim::InlineFn fn) {
-  if (dst.engine_ == engine_) {
-    engine_->call_at(t, std::move(fn));
-  } else {
-    counters_.cross_msgs++;
-    engine_->cross_post(*dst.engine_, t, std::move(fn));
-  }
 }
 
 sim::Time Nic::reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
@@ -450,9 +402,9 @@ std::vector<Nic::ChunkArrival> Nic::schedule_chain_src(Nic& dst,
   out.reserve(chunk_count(bytes, cfg_.mtu));
   counters_.seg_msgs++;
   for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
-    // Source-side segment only: on a routed path this is the uplink hops
-    // bound to this shard; the arrival timestamp is the chunk crossing the
-    // shard boundary (== delivery for a direct wire).
+    // Source-side segment only: on a routed path these are the uplink
+    // hops; the arrival timestamp is the chunk crossing the segment
+    // boundary (== delivery for a direct wire).
     const std::uint32_t wire = chunk + cfg_.header_bytes;
     const sim::Time w = reserve_src_chunk(p, chunk, wire, skip_src_dma, at);
     out.push_back(ChunkArrival{w, chunk, wire});
@@ -513,12 +465,11 @@ void Nic::trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
 }
 
 void Nic::trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
-                      sim::Time fetch_cost) {
+                      sim::Time at, sim::Time fetch_cost) {
   trace::Tracer* tr = engine_->tracer();
   const auto node = static_cast<std::uint8_t>(node_);
-  // Same reservation plumbing as trace_chain (runs at the end of the
-  // processing slot), so cross-shard chains carry identical durations.
-  const sim::Time at = engine_->now();
+  // Same reservation plumbing as trace_chain, so UD chains carry the same
+  // durations as fused ones.
   tr->record_at(at - fetch_cost, trace::Point::kWqeFetch,
                 wr.trace_span, qpn, 0, node, len, fetch_cost);
   if (!wr.inline_data && len > 0) {
@@ -530,7 +481,7 @@ void Nic::trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
 sim::Time Nic::dma_fetch_time(std::uint64_t len) const {
   // Summed PCIe occupancy of the payload's MTU chunks — the same
   // segmentation schedule_chain_src reserves, reproduced arithmetically
-  // so fused and cross-shard paths trace identical service durations.
+  // so the fused and UD paths trace identical service durations.
   sim::Time total = 0;
   for_each_chunk(len, cfg_.mtu, [&](std::uint32_t chunk) {
     total += cfg_.pcie_bandwidth.time_for(chunk);
@@ -567,43 +518,36 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   }
 
   const std::uint32_t sqpn = qp.qpn();
-  const bool cross = dst->engine_ != engine_;
   switch (wr.opcode) {
     case Opcode::kSend:
     case Opcode::kSendWithImm: {
-      // UD always takes the boundary-split path, even on one engine: the
-      // unreliable send completes at its local wire egress — the end of
-      // the path's source-side segment, a topological point (the tier-
-      // climbing prefix; see Path::src_hops) that does not depend on
-      // shard placement — which keeps the completion time, and thus the
-      // whole run, identical at every shard count. On a direct wire the
-      // boundary IS the delivery, so two-host results are unchanged.
-      if (cross || is_ud) {
+      // UD takes the boundary-split path: the unreliable send completes at
+      // its local wire egress — the end of the path's source-side segment
+      // (the tier-climbing prefix; see Path::src_hops). On a direct wire
+      // the boundary IS the delivery.
+      if (is_ud) {
         auto arrivals = schedule_chain_src(*dst, len, wr.inline_data, at);
         const sim::Time wire_done = arrivals.back().at;
         const sim::Time posted = at;
         if (engine_->tracer() != nullptr) [[unlikely]] {
-          // kWireTx and kDmaDeliver are emitted by the destination, which
+          // kWireTx and kDmaDeliver are emitted on arrival, which
           // computes the true wire arrival past the boundary.
-          trace_fetch(sqpn, wr, len, fetch_cost);
+          trace_fetch(sqpn, wr, len, at, fetch_cost);
         }
-        if (is_ud) {
-          sender_complete(sqpn, wr, WcStatus::kSuccess,
-                          wire_done + cfg_.cqe_write);
-        }
+        sender_complete(sqpn, wr, WcStatus::kSuccess,
+                        wire_done + cfg_.cqe_write);
         // Hoisted before the closure construction moves `arrivals` out
         // (function-argument evaluation order is unspecified).
         const sim::Time first_at = arrivals.front().at;
-        post_remote(*dst, first_at,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr),
-                                   arrivals = std::move(arrivals), posted,
-                                   rnr_attempts, is_ud]() mutable {
-                      dst->remote_send_arrival(dqpn, std::move(wrc),
-                                               std::move(arrivals), *self,
-                                               sqpn, posted, rnr_attempts,
-                                               !is_ud);
-                    }));
+        engine_->call_at(first_at,
+                         sim::InlineFn([dst, dqpn = dest.qpn, self = this,
+                                        sqpn, wrc = std::move(wr),
+                                        arrivals = std::move(arrivals),
+                                        posted]() mutable {
+                           dst->remote_send_arrival(
+                               dqpn, std::move(wrc), std::move(arrivals),
+                               *self, sqpn, posted);
+                         }));
         break;
       }
       TxTimes t = schedule_chain(*dst, len, wr.inline_data,
@@ -623,24 +567,6 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     }
     case Opcode::kRdmaWrite:
     case Opcode::kRdmaWriteWithImm: {
-      if (cross) {
-        auto arrivals = schedule_chain_src(*dst, len, wr.inline_data, at);
-        const sim::Time posted = at;
-        if (engine_->tracer() != nullptr) [[unlikely]] {
-          trace_fetch(sqpn, wr, len, fetch_cost);
-        }
-        const sim::Time first_at = arrivals.front().at;  // before the move
-        post_remote(*dst, first_at,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr),
-                                   arrivals = std::move(arrivals), posted,
-                                   rnr_attempts]() mutable {
-                      dst->remote_write_arrival(dqpn, std::move(wrc),
-                                                std::move(arrivals), *self,
-                                                sqpn, posted, rnr_attempts);
-                    }));
-        break;
-      }
       TxTimes t = schedule_chain(*dst, len, wr.inline_data,
                                  /*include_dst_dma=*/true, at);
       if (engine_->tracer() != nullptr) [[unlikely]] {
@@ -657,9 +583,8 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     }
     case Opcode::kRdmaRead: {
       // Header-only read request towards the responder: it reserves only
-      // the source-side segment (this shard's resources) and rides the
-      // non-contending ctrl lane over the destination side, so the chain
-      // itself is shard-safe; just the arrival dispatch may cross.
+      // the source-side segment and rides the non-contending ctrl lane
+      // over the destination side.
       fabric::Path rp = network_->path(node_, dst->node_);
       const sim::Time req_arrive =
           rp.reserve_src(at, cfg_.header_bytes) +
@@ -667,15 +592,6 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      if (cross) {
-        post_remote(*dst, t.wire_done,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr)]() mutable {
-                      WrRef local = dst->wr_pool_.acquire(std::move(wrc));
-                      dst->handle_read_request(dqpn, local, *self, sqpn);
-                    }));
-        break;
       }
       WrRef shared = wr_pool_.acquire(std::move(wr));
       engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
@@ -687,7 +603,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     case Opcode::kCompareSwap: {
       // The request carries the operands (header-sized on the wire). Like
       // the read request: source-side reservation + ctrl-lane latency over
-      // the destination side, identical in fused and split execution.
+      // the destination side.
       fabric::Path rp = network_->path(node_, dst->node_);
       const sim::Time req_arrive =
           rp.reserve_src(at, cfg_.header_bytes) +
@@ -695,15 +611,6 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      if (cross) {
-        post_remote(*dst, t.wire_done,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr)]() mutable {
-                      WrRef local = dst->wr_pool_.acquire(std::move(wrc));
-                      dst->handle_atomic_request(dqpn, local, *self, sqpn);
-                    }));
-        break;
       }
       WrRef shared = wr_pool_.acquire(std::move(wr));
       engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
@@ -716,15 +623,14 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
 
 void Nic::remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
                               std::vector<ChunkArrival> arrivals, Nic& src,
-                              std::uint32_t src_qpn, sim::Time posted,
-                              std::uint32_t rnr_attempts, bool reliable) {
+                              std::uint32_t src_qpn, sim::Time posted) {
   const fabric::Path p = network_->path(src.node(), node_);
   const auto [wire_done, delivered] =
       reserve_dst_chain(p, arrivals, /*include_dma=*/true);
   if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
     // The kWireTx record mirrors the fused path's byte-for-byte: dated at
     // the source's post time, on the source node, spanning the full wire
-    // crossing — only this shard knows where the crossing ends.
+    // crossing, whose end is only known here.
     tr->record_at(posted, trace::Point::kWireTx, wr.trace_span, src_qpn, 0,
                   static_cast<std::uint8_t>(src.node()), payload_len(wr),
                   wire_done - posted);
@@ -735,36 +641,12 @@ void Nic::remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
     }
   }
   WrRef shared = wr_pool_.acquire(std::move(wr));
-  engine_->call_at(wire_done, [this, local_qpn, shared, &src, src_qpn,
-                               delivered, rnr_attempts, reliable] {
-    handle_send_arrival(local_qpn, shared, src, src_qpn, delivered,
-                        rnr_attempts, reliable);
-  });
-}
-
-void Nic::remote_write_arrival(std::uint32_t local_qpn, SendWr wr,
-                               std::vector<ChunkArrival> arrivals, Nic& src,
-                               std::uint32_t src_qpn, sim::Time posted,
-                               std::uint32_t rnr_attempts) {
-  const fabric::Path p = network_->path(src.node(), node_);
-  const auto [wire_done, delivered] =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true);
-  if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
-    tr->record_at(posted, trace::Point::kWireTx, wr.trace_span, src_qpn, 0,
-                  static_cast<std::uint8_t>(src.node()), payload_len(wr),
-                  wire_done - posted);
-    if (delivered > wire_done) {
-      tr->record_at(wire_done, trace::Point::kDmaDeliver, wr.trace_span,
-                    src_qpn, 0, static_cast<std::uint8_t>(node_),
-                    payload_len(wr), delivered - wire_done);
-    }
-  }
-  WrRef shared = wr_pool_.acquire(std::move(wr));
-  engine_->call_at(wire_done, [this, local_qpn, shared, &src, src_qpn,
-                               delivered, rnr_attempts] {
-    handle_write_arrival(local_qpn, shared, src, src_qpn, delivered,
-                         rnr_attempts);
-  });
+  engine_->call_at(wire_done,
+                   [this, local_qpn, shared, &src, src_qpn, delivered] {
+                     handle_send_arrival(local_qpn, shared, src, src_qpn,
+                                         delivered, /*rnr_attempts=*/0,
+                                         /*reliable=*/false);
+                   });
 }
 
 void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
@@ -803,22 +685,20 @@ void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
   counters_.rx_msgs++;
   // Response carries the old value back; the requester DMA-writes it into
   // the caller's 8-byte buffer and completes.
-  // The requester-side memcpy + completion run on the requester's shard
-  // (post_remote); everything they need travels as plain data.
   engine_->call_at(done, [this, wr, old_value, &src, src_qpn] {
     fabric::Path p = network_->path(node_, src.node());
     const sim::Time arrive =
         p.reserve_src(engine_->now(), cfg_.ack_bytes + 8) +
         p.dst_latency(cfg_.ack_bytes + 8);
-    post_remote(src, arrive,
-                sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
-                               addr = wr->sge.addr, old_value] {
-                  std::memcpy(mem(addr), &old_value, 8);
-                  psrc->sender_complete(src_qpn, m, WcStatus::kSuccess,
-                                        psrc->engine_->now() +
-                                            psrc->cfg_.ack_processing +
-                                            psrc->cfg_.cqe_write);
-                }));
+    engine_->call_at(arrive,
+                     sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
+                                    addr = wr->sge.addr, old_value] {
+                       std::memcpy(mem(addr), &old_value, 8);
+                       psrc->sender_complete(src_qpn, m, WcStatus::kSuccess,
+                                             psrc->engine_->now() +
+                                                 psrc->cfg_.ack_processing +
+                                                 psrc->cfg_.cqe_write);
+                     }));
   });
 }
 
@@ -852,18 +732,12 @@ void Nic::handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
         if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
       });
     } else {
-      // The WR travels back by value: the retry re-enters the sender's
-      // pool on the sender's shard (WrRefs must not cross threads).
-      send_ctrl(src, engine_->now(),
-                [&src, src_qpn, wrc = SendWr(*wr), rnr_attempts]() mutable {
-                  src.engine_->call_in(
-                      src.cfg_.rnr_timer,
-                      [&src, src_qpn, wrc = std::move(wrc),
-                       rnr_attempts]() mutable {
-                        src.retry_send_copy(src_qpn, std::move(wrc),
-                                            rnr_attempts + 1);
-                      });
-                });
+      send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
+        src.engine_->call_in(src.cfg_.rnr_timer, [&src, src_qpn, wr,
+                                                  rnr_attempts] {
+          src.retry_send(src_qpn, wr, rnr_attempts + 1);
+        });
+      });
     }
     return;
   }
@@ -944,16 +818,12 @@ void Nic::handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
       if (rnr_attempts + 1 >= src.cfg_.rnr_retries) {
         nak(WcStatus::kRnrRetryExceeded);
       } else {
-        send_ctrl(src, engine_->now(),
-                  [&src, src_qpn, wrc = SendWr(*wr), rnr_attempts]() mutable {
-                    src.engine_->call_in(
-                        src.cfg_.rnr_timer,
-                        [&src, src_qpn, wrc = std::move(wrc),
-                         rnr_attempts]() mutable {
-                          src.retry_send_copy(src_qpn, std::move(wrc),
-                                              rnr_attempts + 1);
-                        });
-                  });
+        send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
+          src.engine_->call_in(src.cfg_.rnr_timer, [&src, src_qpn, wr,
+                                                    rnr_attempts] {
+            src.retry_send(src_qpn, wr, rnr_attempts + 1);
+          });
+        });
       }
       return;
     }
@@ -1004,31 +874,6 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
   // Responder streams the data back; charge responder-side processing.
   processing_.reserve(cfg_.rx_processing);
   counters_.rx_msgs++;  // the read request itself
-  if (src.engine_ != engine_) {
-    // Cross-shard requester: reserve the responder-side half of the chain
-    // here, ship the payload + per-chunk arrivals across, and let the
-    // requester finish its DMA-write reservations and the memcpy on its
-    // own shard. The payload is snapshotted at response time rather than
-    // at delivery time — indistinguishable unless the responder mutates
-    // the region mid-flight (which the verbs contract already forbids for
-    // concurrently read regions).
-    auto arrivals =
-        schedule_chain_src(src, len, /*skip_src_dma=*/false, engine_->now());
-    counters_.tx_bytes += len;
-    std::vector<std::byte> data(len);
-    if (len > 0) std::memcpy(data.data(), mem(wr->remote_addr), len);
-    const sim::Time first_at = arrivals.front().at;  // before the move
-    post_remote(src, first_at,
-                sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
-                               addr = wr->sge.addr, len, responder = node_,
-                               arrivals = std::move(arrivals),
-                               data = std::move(data)]() mutable {
-                  psrc->remote_read_response(src_qpn, m, addr, len, responder,
-                                             std::move(arrivals),
-                                             std::move(data));
-                }));
-    return;
-  }
   TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false,
                              /*include_dst_dma=*/true, engine_->now());
   counters_.tx_bytes += len;
@@ -1042,37 +887,15 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
   });
 }
 
-void Nic::remote_read_response(std::uint32_t qpn, SenderMeta m,
-                               std::uintptr_t addr, std::uint64_t len,
-                               NodeId responder,
-                               std::vector<ChunkArrival> arrivals,
-                               std::vector<std::byte> data) {
-  const fabric::Path p = network_->path(responder, node_);
-  const sim::Time delivered =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true).delivered;
-  engine_->call_at(delivered, [this, qpn, m, addr, len,
-                               data = std::move(data)] {
-    if (len > 0) std::memcpy(mem(addr), data.data(), len);
-    counters_.rx_bytes += len;
-    sender_complete(qpn, m, WcStatus::kSuccess,
-                    engine_->now() + cfg_.ack_processing + cfg_.cqe_write);
-  });
-}
-
 void Nic::send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn) {
-  // The ctrl packet serializes on the path's source-side segment (always
-  // shard-local) and rides a non-contending priority lane over the
-  // destination side (dst_latency). The segment split is topological
-  // (Path::src_hops is placement-independent), so fused and split runs
-  // reserve the same hops and apply the same latency formula to the same
-  // suffix — ctrl packets never contend on destination-side downlinks in
-  // either mode, and the two stay bit-identical even under converging
-  // traffic. Only the arrival callback may cross shards, so callers must
-  // capture nothing but plain data and `dst`-side state in `fn`.
+  // The ctrl packet serializes on the path's source-side segment and
+  // rides a non-contending priority lane over the destination side
+  // (dst_latency), so ctrl packets never contend on destination-side
+  // downlinks, even under converging traffic.
   fabric::Path p = network_->path(node_, dst.node());
   const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
                            p.dst_latency(cfg_.ack_bytes);
-  post_remote(dst, arrive + dst.cfg_.ack_processing, std::move(fn));
+  engine_->call_at(arrive + dst.cfg_.ack_processing, std::move(fn));
 }
 
 Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
@@ -1136,12 +959,11 @@ void Nic::ctrl_complete(Nic& requester, sim::Time earliest,
   fabric::Path p = network_->path(node_, requester.node());
   const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
                            p.dst_latency(cfg_.ack_bytes);
-  post_remote(requester,
-              arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
-              sim::InlineFn([req = &requester, requester_qpn, m] {
-                req->sender_complete_now(requester_qpn, m,
-                                         WcStatus::kSuccess);
-              }));
+  engine_->call_at(
+      arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
+      sim::InlineFn([req = &requester, requester_qpn, m] {
+        req->sender_complete_now(requester_qpn, m, WcStatus::kSuccess);
+      }));
 }
 
 }  // namespace cord::nic

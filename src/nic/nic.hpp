@@ -73,21 +73,19 @@ struct NicCounters {
   std::uint64_t tx_bytes = 0;
   std::uint64_t rx_msgs = 0;
   std::uint64_t rx_bytes = 0;
-  // Doorbell/completion batching (see kick/sq_worker/qp_set_error):
+  // Doorbell/completion batching (see kick/sq_drain_burst/qp_set_error):
   std::uint64_t doorbells = 0;  ///< modeled MMIO doorbell writes
-  std::uint64_t doorbells_coalesced = 0;  ///< posts absorbed by an active SQ worker
-  std::uint64_t sq_bursts = 0;      ///< SQ worker activations (one per doorbell)
+  std::uint64_t doorbells_coalesced = 0;  ///< posts absorbed by an active SQ drain
+  std::uint64_t sq_bursts = 0;      ///< SQ drain activations (one per doorbell)
   std::uint64_t sq_burst_wrs = 0;   ///< WRs drained across all activations
   /// Fused SoA drain events: each processed a whole burst of WQEs
   /// (gather → batched MR check → per-WQE segmentation) in one engine
-  /// event. Stays 0 when a tracer forces the per-WQE drain path.
+  /// event.
   std::uint64_t sq_fused_batches = 0;
   std::uint64_t seg_msgs = 0;    ///< messages run through MTU segmentation
   std::uint64_t seg_chunks = 0;  ///< MTU chunks those messages produced
   std::uint64_t cqe_flush_batches = 0;  ///< coalesced error-flush events
   std::uint64_t cqe_flushed = 0;        ///< CQEs delivered by those events
-  /// Messages that crossed a shard boundary (0 on a single-engine run).
-  std::uint64_t cross_msgs = 0;
 };
 
 class Nic {
@@ -155,9 +153,8 @@ class Nic {
     sim::Time delivered = 0;  // last byte written to destination memory
   };
 
-  /// The subset of a SendWr that sender-side completion reads. Plain data:
-  /// safe to carry across shard threads, unlike WrRef (whose intrusive
-  /// refcount is deliberately non-atomic — WrRefs never leave their shard).
+  /// The subset of a SendWr that sender-side completion reads: a small
+  /// plain-data copy, so completion callbacks need not hold the WR.
   struct SenderMeta {
     std::uint64_t wr_id = 0;
     std::uint32_t trace_span = 0;
@@ -167,20 +164,20 @@ class Nic {
   };
   static SenderMeta meta_of(const SendWr& wr);
 
-  /// One MTU chunk crossing the path's shard boundary: for a direct wire,
-  /// arrival at the destination NIC; for a routed path, the instant it
-  /// clears the last source-side hop. The source shard computes these from
-  /// its own (local) DMA-fetch + uplink reservations; the destination
-  /// shard replays its downlink + DMA-write reservations from them with
+  /// One MTU chunk crossing the path's source/destination boundary (UD
+  /// sends): for a direct wire, arrival at the destination NIC; for a
+  /// routed path, the instant it clears the last source-side hop. The
+  /// sender computes these from its DMA-fetch + uplink reservations; the
+  /// receiver replays its downlink + DMA-write reservations from them with
   /// the same timestamps the fused schedule_chain would have produced.
   struct ChunkArrival {
     sim::Time at = 0;
     std::uint32_t bytes = 0;  ///< payload bytes (sizes the dst DMA write)
     /// Bytes on the wire: payload plus the *sender's* per-packet header.
-    /// Carried with the chunk so the destination shard replays the
-    /// suffix-hop reservations with the same wire size the fused
-    /// schedule_chain uses — with heterogeneous per-NIC header_bytes the
-    /// receiver's config would differ.
+    /// Carried with the chunk so the receiver replays the suffix-hop
+    /// reservations with the same wire size the fused schedule_chain
+    /// uses — with heterogeneous per-NIC header_bytes the receiver's
+    /// config would differ.
     std::uint32_t wire_bytes = 0;
   };
 
@@ -188,16 +185,14 @@ class Nic {
     return reinterpret_cast<std::byte*>(addr);
   }
 
-  /// Reserve the pipelined resource chain for `bytes` towards `dst`
-  /// (same-shard destinations only: touches dst.dma_wr_ directly). `at`
+  /// Reserve the pipelined resource chain for `bytes` towards `dst`. `at`
   /// is the WQE's processing-done time: >= now, and ahead of now when the
   /// fused burst drain reserves a whole burst from one event.
   TxTimes schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
                          bool include_dst_dma, sim::Time at);
-  /// Source half of schedule_chain for a cross-shard `dst`: reserves the
-  /// local DMA fetch + the path's source-side hops, returns per-chunk
-  /// boundary arrivals for the destination shard to finish via
-  /// reserve_dst_chain.
+  /// Source half of schedule_chain (UD sends): reserves the local DMA
+  /// fetch + the path's source-side hops, returns per-chunk boundary
+  /// arrivals for the destination to finish via reserve_dst_chain.
   std::vector<ChunkArrival> schedule_chain_src(Nic& dst, std::uint64_t bytes,
                                                bool skip_src_dma, sim::Time at);
   /// One chunk of the source-side chain: DMA fetch (unless inline) then
@@ -213,42 +208,31 @@ class Nic {
                             const std::vector<ChunkArrival>& chunks,
                             bool include_dma);
 
-  /// Run `fn` at `t` on dst's engine: plain call_at when dst shares this
-  /// NIC's engine (byte-identical to the pre-sharding code path), a
-  /// mailbox-routed cross_post otherwise.
-  void post_remote(Nic& dst, sim::Time t, sim::InlineFn fn);
-
   void kick(QueuePair& qp, std::uint32_t trace_span = 0);
-  /// One drain round: dispatches to the fused SoA burst drain, or (with a
-  /// tracer attached) to the per-WQE coroutine worker whose event-per-WQE
-  /// structure the canonical traces were recorded against.
+  /// One drain round: runs the fused SoA burst drain, or deactivates the
+  /// drain when the SQ is empty or the QP left RTS.
   void sq_resume(std::uint32_t qpn);
   /// Fused drain: gathers the queued WQE descriptors into the SoA burst
   /// scratch, batch-checks MRs, then processes every WQE from this one
   /// event — each WQE's chain reserved at its computed processing-done
   /// time. Schedules one continuation event at the burst's end.
   void sq_drain_burst(QueuePair& qp);
-  sim::Task<> sq_worker(std::uint32_t qpn);
   /// Local protection check a WQE must pass before transmission (inline
   /// and zero-length payloads skip the MR lookup).
   bool wqe_mr_ok(const SendWr& wr, ProtectionDomainId pd) const;
   /// ICM charge for one WQE fetch: base wqe_processing plus the MR-context
   /// miss penalty when the WQE references a memory region (non-inline,
   /// non-empty, protection-checked). Mutates icm_mr_ — call exactly once
-  /// per fetch, in queue order, so fused and per-WQE drains replay the
-  /// same hit/miss sequence.
+  /// per fetch, in queue order.
   sim::Time wqe_fetch_cost(const SendWr& wr, bool mr_ok);
   /// Execute one WQE whose processing pipeline slot ends at `at` (== now
-  /// on the per-WQE paths; ahead of now from the fused drain). `mr_ok` is
+  /// on the RNR retry path; possibly ahead of now from the fused drain). `mr_ok` is
   /// the (possibly batch-computed) wqe_mr_ok verdict; `fetch_cost` the
   /// reserved slot width (wqe_fetch_cost), plumbed through so the trace
   /// records carry the true reservation.
   void process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
                    sim::Time at, bool mr_ok, sim::Time fetch_cost);
   void retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts);
-  /// Cross-shard RNR retry entry: the WR came back by value; re-pool it
-  /// locally and retry.
-  void retry_send_copy(std::uint32_t qpn, SendWr wr, std::uint32_t rnr_attempts);
 
   void handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
                            Nic& src, std::uint32_t src_qpn, sim::Time delivered,
@@ -261,21 +245,12 @@ class Nic {
   void handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
                              Nic& src, std::uint32_t src_qpn);
 
-  // Cross-shard entry points (run on this NIC's shard; the WR arrives by
-  // value and is re-pooled locally before entering the handlers above).
+  /// UD arrival at the first chunk's boundary time: replays the
+  /// destination-side reservations (reserve_dst_chain), re-pools the WR
+  /// locally and enters handle_send_arrival (unreliable: no RNR retries).
   void remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
                            std::vector<ChunkArrival> arrivals, Nic& src,
-                           std::uint32_t src_qpn, sim::Time posted,
-                           std::uint32_t rnr_attempts, bool reliable);
-  void remote_write_arrival(std::uint32_t local_qpn, SendWr wr,
-                            std::vector<ChunkArrival> arrivals, Nic& src,
-                            std::uint32_t src_qpn, sim::Time posted,
-                            std::uint32_t rnr_attempts);
-  void remote_read_response(std::uint32_t qpn, SenderMeta m,
-                            std::uintptr_t addr, std::uint64_t len,
-                            NodeId responder,
-                            std::vector<ChunkArrival> arrivals,
-                            std::vector<std::byte> data);
+                           std::uint32_t src_qpn, sim::Time posted);
 
   /// Schedule an ACK/NAK-sized packet back to `dst` and run `fn` when it
   /// has been processed there.
@@ -291,15 +266,15 @@ class Nic {
 
   /// Emit the WQE-lifecycle trace records (fetch → DMA → wire → delivery)
   /// for one processed WR. Only called when a tracer is attached; `at` is
-  /// the WQE's processing time (== now on the traced path).
+  /// the end of the WQE's processing slot (possibly ahead of now).
   void trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
                    NodeId dst_node, std::uint64_t len, sim::Time at,
                    sim::Time fetch_cost);
-  /// The fetch-side records only (kWqeFetch, kDmaFetch) — used on the
-  /// boundary-crossing path, where the destination shard emits kWireTx and
-  /// kDmaDeliver once it has computed the true wire arrival.
+  /// The fetch-side records only (kWqeFetch, kDmaFetch) — used on the UD
+  /// path, where remote_send_arrival emits kWireTx and kDmaDeliver once it
+  /// has computed the true wire arrival.
   void trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
-                   sim::Time fetch_cost);
+                   sim::Time at, sim::Time fetch_cost);
   /// Summed PCIe occupancy of a payload's MTU chunks (the source-side DMA
   /// service time plumbed into kDmaFetch records).
   sim::Time dma_fetch_time(std::uint64_t len) const;
@@ -379,7 +354,6 @@ class Nic {
   /// On-NIC context caches (ICM model). QP contexts are touched on every
   /// doorbell ring, MR contexts on every MR-referencing WQE fetch; misses
   /// fold icm_miss_latency into the existing reservation timestamps.
-  /// Sender-side only, so all state stays shard-local.
   IcmCache icm_qp_;
   IcmCache icm_mr_;
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "sim/sharded.hpp"
 #include "trace/trace.hpp"
 
 namespace cord::os {
@@ -112,20 +111,6 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     refresh_causal();
     return static_cast<std::int64_t>(causal_.watchdog_violations());
   });
-  // Shard-synchronization health, mirrored into every host's procfs view
-  // when this host's engine belongs to a sharded run (the counters are
-  // coordinator-wide, not per host — same value from any host). Read-time
-  // callbacks against live stats.
-  if (const sim::ShardedEngine* coord = engine_->coordinator()) {
-    const auto shard_gauge = [this, coord](std::string_view name,
-                                           std::uint64_t sim::ShardStats::*f) {
-      metrics_.callback_gauge(name, [coord, f] {
-        return static_cast<std::int64_t>(coord->stats().*f);
-      });
-    };
-    shard_gauge("sim.shard.windows", &sim::ShardStats::windows);
-    shard_gauge("sim.shard.messages", &sim::ShardStats::messages);
-  }
 }
 
 void Kernel::refresh_causal() const {
@@ -462,7 +447,7 @@ sim::Task<int> Kernel::submit_send_batch(Core& core, TenantId tenant,
   }
   if (any_allowed) {
     // The WQEs are already written; ring the SQ doorbell once for the
-    // whole batch (the device-side worker drains them as one burst).
+    // whole batch (the device-side SQ drain takes them as one burst).
     co_await core.work(core.model().doorbell_mmio, Work::kKernel);
     for (std::size_t i = 0; i < n; ++i) {
       if (!verdicts[i].allow) continue;

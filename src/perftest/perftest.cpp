@@ -394,7 +394,6 @@ void validate(const Params& p) {
   if (p.warmup < 0) throw std::invalid_argument("warmup must be >= 0");
   if (p.tx_depth == 0) throw std::invalid_argument("tx_depth must be >= 1");
   if (p.tx_batch == 0) throw std::invalid_argument("tx_batch must be >= 1");
-  if (p.shards == 0) throw std::invalid_argument("shards must be >= 1");
   if (p.racks > 0 && p.hosts_per_rack == 0) {
     throw std::invalid_argument("hosts_per_rack must be >= 1");
   }
@@ -428,9 +427,7 @@ core::SystemConfig topo_config(core::SystemConfig cfg, const Params& p) {
 
 void arm_tracing(core::System& sys, const Params& p) {
   if (!p.capture_trace) return;
-  for (std::size_t i = 0; i < sys.shard_count(); ++i) {
-    sys.tracer(i).set_capacity(p.trace_capacity);
-  }
+  sys.tracer().set_capacity(p.trace_capacity);
   sys.set_tracing(true);
 }
 
@@ -438,79 +435,41 @@ void arm_tracing(core::System& sys, const Params& p) {
 
 LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(topo_config(cfg, p), topo_hosts(p), p.shards);
+  core::System sys(topo_config(cfg, p), topo_hosts(p));
   LatencyResult result;
   // Lives outside the workload coroutine: straggler NIC events (in-flight
   // deliveries past the last harvested completion) still reference these
   // buffers while run() drains the queue after the workload frame is gone.
   Setup s;
-  const int total = p.warmup + p.iterations;
   arm_tracing(sys, p);
-  if (p.shards <= 1) {
-    sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
-                          LatencyResult& result) -> sim::Task<> {
-      co_await establish(s, sys, p, /*slots=*/1);
-      const int total = p.warmup + p.iterations;
-      switch (p.op) {
-        case TestOp::kSend: {
-          // Server's first receive must be posted before the first ping.
-          int rc = co_await s.server->post_recv(
-              *s.qp_s, {1, {uptr(s.sink_s.data()), s.recv_len, s.mr_sink_s->lkey}});
-          if (rc != 0) throw std::runtime_error("initial post_recv failed");
-          sim::Joinable srv(sys.engine(), send_lat_server(s, p, total));
-          co_await send_lat_client(s, p, result);
-          co_await srv.join();
-          break;
-        }
-        case TestOp::kWrite: {
-          sim::Joinable srv(sys.engine(), write_lat_server(s, p, total));
-          co_await write_lat_client(s, p, result);
-          co_await srv.join();
-          break;
-        }
-        case TestOp::kRead: {
-          co_await read_lat_client(s, p, result);
-          break;
-        }
-      }
-    }(s, sys, p, result));
-    sys.engine().run();
-  } else {
-    // Phase 1 — setup. Connection establishment hops between both hosts'
-    // engines, which the conservative protocol does not allow; the merged
-    // sequential mode interleaves the engines under one global clock.
-    bool setup_done = false;
-    sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
-                          bool& done) -> sim::Task<> {
-      co_await establish(s, sys, p, /*slots=*/1);
-      if (p.op == TestOp::kSend) {
+  sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
+                        LatencyResult& result) -> sim::Task<> {
+    co_await establish(s, sys, p, /*slots=*/1);
+    const int total = p.warmup + p.iterations;
+    switch (p.op) {
+      case TestOp::kSend: {
+        // Server's first receive must be posted before the first ping.
         int rc = co_await s.server->post_recv(
             *s.qp_s, {1, {uptr(s.sink_s.data()), s.recv_len, s.mr_sink_s->lkey}});
         if (rc != 0) throw std::runtime_error("initial post_recv failed");
+        sim::Joinable srv(sys.engine(), send_lat_server(s, p, total));
+        co_await send_lat_client(s, p, result);
+        co_await srv.join();
+        break;
       }
-      done = true;
-    }(s, sys, p, setup_done));
-    sys.sharded().run_sequential();
-    if (!setup_done) throw std::runtime_error("sharded setup did not finish");
-    sys.sharded().sync_clocks();
-    // Phase 2 — the workload proper, one root per side, each pinned to its
-    // host's shard. The roots only touch their own host's state; all
-    // interaction flows through the NIC model's cross-shard messages.
-    switch (p.op) {
-      case TestOp::kSend:
-        sys.engine_for(s.server_node).spawn(send_lat_server(s, p, total));
-        sys.engine_for(0).spawn(send_lat_client(s, p, result));
+      case TestOp::kWrite: {
+        sim::Joinable srv(sys.engine(), write_lat_server(s, p, total));
+        co_await write_lat_client(s, p, result);
+        co_await srv.join();
         break;
-      case TestOp::kWrite:
-        sys.engine_for(s.server_node).spawn(write_lat_server(s, p, total));
-        sys.engine_for(0).spawn(write_lat_client(s, p, result));
+      }
+      case TestOp::kRead: {
+        co_await read_lat_client(s, p, result);
         break;
-      case TestOp::kRead:
-        sys.engine_for(0).spawn(read_lat_client(s, p, result));
-        break;
+      }
     }
-    sys.sharded().run();
-  }
+  }(s, sys, p, result));
+  sys.engine().run();
   result.avg_us = result.latency_us.mean();
   result.p50_us = result.latency_us.percentile(50);
   result.p99_us = result.latency_us.percentile(99);
@@ -518,9 +477,7 @@ LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
     result.trace = sys.merged_trace();
     result.trace_dropped = sys.trace_dropped();
   }
-  result.clamped_events = sys.sharded().clamped_events();
-  result.shard_windows = sys.sharded().stats().windows;
-  result.shard_messages = sys.sharded().stats().messages;
+  result.clamped_events = sys.engine().clamped_events();
   if (result.latency_us.count() == 0) {
     throw std::runtime_error("latency test produced no samples");
   }
@@ -529,7 +486,7 @@ LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
 
 BandwidthResult run_bandwidth(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(topo_config(cfg, p), topo_hosts(p), p.shards);
+  core::System sys(topo_config(cfg, p), topo_hosts(p));
   BandwidthResult result;
   // Outlives the coroutine frame; see run_latency.
   Setup s;
@@ -541,104 +498,43 @@ BandwidthResult run_bandwidth(const core::SystemConfig& cfg, const Params& p) {
   const auto slots = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       std::max<std::uint32_t>(2 * p.tx_depth, 512), by_mem));
   arm_tracing(sys, p);
-  if (p.shards <= 1) {
-    sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
-                          std::uint32_t slots, BandwidthResult& result) -> sim::Task<> {
-      co_await establish(s, sys, p, slots);
-      if (p.op == TestOp::kSend) {
-        // Pre-fill the server RQ.
-        for (std::uint32_t i = 0; i < slots; ++i) {
-          int rc = co_await s.server->post_recv(
-              *s.qp_s, {1, {uptr(sink_slot(s.sink_s, s.recv_len, i)), s.recv_len,
-                            s.mr_sink_s->lkey}});
-          if (rc != 0) throw std::runtime_error("prefill post_recv failed");
-        }
-        bool client_done = false;
-        sim::Joinable srv(sys.engine(),
-                          send_bw_server(s, p, p.iterations,
-                                         s.is_ud ? &client_done : nullptr));
-        co_await bw_client(s, p, result);
-        client_done = true;
-        co_await srv.join();
-        // Integrity: the last delivered slot must carry the pattern.
-        if (s.sink_s[s.is_ud ? nic::kGrhBytes : 0] != kPattern) {
-          throw std::runtime_error("payload integrity check failed");
-        }
-      } else {
-        co_await bw_client(s, p, result);
-        std::vector<std::byte>& landing =
-            p.op == TestOp::kWrite ? s.sink_s : s.sink_c;
-        if (landing[0] != kPattern) {
-          throw std::runtime_error("payload integrity check failed");
-        }
-      }
-    }(s, sys, p, slots, result));
-    sys.engine().run();
-  } else {
-    // Phase 1 — setup + RQ prefill in merged sequential mode.
-    bool setup_done = false;
-    sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
-                          std::uint32_t slots, bool& done) -> sim::Task<> {
-      co_await establish(s, sys, p, slots);
-      if (p.op == TestOp::kSend) {
-        for (std::uint32_t i = 0; i < slots; ++i) {
-          int rc = co_await s.server->post_recv(
-              *s.qp_s, {1, {uptr(sink_slot(s.sink_s, s.recv_len, i)), s.recv_len,
-                            s.mr_sink_s->lkey}});
-          if (rc != 0) throw std::runtime_error("prefill post_recv failed");
-        }
-      }
-      done = true;
-    }(s, sys, p, slots, setup_done));
-    sys.sharded().run_sequential();
-    if (!setup_done) throw std::runtime_error("sharded setup did not finish");
-    sys.sharded().sync_clocks();
-    // Phase 2 — client root on host 0's shard, server root (send tests) on
-    // host 1's. `client_done` is only ever touched by the server's shard:
-    // the client announces completion with a cross-shard message honoring
-    // the lookahead, so the flag flips at a deterministic virtual time.
-    bool client_done = false;
+  sys.engine().spawn([](Setup& s, core::System& sys, const Params& p,
+                        std::uint32_t slots, BandwidthResult& result) -> sim::Task<> {
+    co_await establish(s, sys, p, slots);
     if (p.op == TestOp::kSend) {
-      sys.engine_for(s.server_node)
-          .spawn(send_bw_server(s, p, p.iterations,
-                                s.is_ud ? &client_done : nullptr));
-    }
-    sys.engine_for(0).spawn([](Setup& s, core::System& sys, const Params& p,
-                               BandwidthResult& result,
-                               bool& client_done) -> sim::Task<> {
+      // Pre-fill the server RQ.
+      for (std::uint32_t i = 0; i < slots; ++i) {
+        int rc = co_await s.server->post_recv(
+            *s.qp_s, {1, {uptr(sink_slot(s.sink_s, s.recv_len, i)), s.recv_len,
+                          s.mr_sink_s->lkey}});
+        if (rc != 0) throw std::runtime_error("prefill post_recv failed");
+      }
+      bool client_done = false;
+      sim::Joinable srv(sys.engine(),
+                        send_bw_server(s, p, p.iterations,
+                                       s.is_ud ? &client_done : nullptr));
       co_await bw_client(s, p, result);
-      if (p.op == TestOp::kSend && s.is_ud) {
-        sim::Engine& ce = sys.engine_for(0);
-        // Pair-exact lookahead: the minimum delay the protocol allows for
-        // a message from the client's shard to the server's.
-        const std::uint32_t cs = sys.shard_of(0);
-        const std::uint32_t ss = sys.shard_of(s.server_node);
-        const sim::Time la = cs == ss ? 0 : sys.sharded().lookahead(cs, ss);
-        ce.cross_post(sys.engine_for(s.server_node), ce.now() + la,
-                      sim::InlineFn([&client_done] { client_done = true; }));
-      }
-    }(s, sys, p, result, client_done));
-    sys.sharded().run();
-    // Integrity checks (same assertions as the single-engine path).
-    if (p.op == TestOp::kSend) {
+      client_done = true;
+      co_await srv.join();
+      // Integrity: the last delivered slot must carry the pattern.
       if (s.sink_s[s.is_ud ? nic::kGrhBytes : 0] != kPattern) {
         throw std::runtime_error("payload integrity check failed");
       }
     } else {
+      co_await bw_client(s, p, result);
       std::vector<std::byte>& landing =
           p.op == TestOp::kWrite ? s.sink_s : s.sink_c;
       if (landing[0] != kPattern) {
         throw std::runtime_error("payload integrity check failed");
       }
     }
-  }
+  }(s, sys, p, slots, result));
+  sys.engine().run();
   if (p.capture_trace) {
     result.trace = sys.merged_trace();
     result.trace_dropped = sys.trace_dropped();
   }
-  result.clamped_events = sys.sharded().clamped_events();
-  result.shard_windows = sys.sharded().stats().windows;
-  result.shard_messages = sys.sharded().stats().messages;
+  result.clamped_events = sys.engine().clamped_events();
   if (result.messages == 0) {
     throw std::runtime_error("bandwidth test produced no result");
   }

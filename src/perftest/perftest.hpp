@@ -48,19 +48,12 @@ struct Params {
   verbs::ContextOptions client{};
   verbs::ContextOptions server{};
   Knobs knobs{};
-  /// Simulation shards (engine threads). 1 = the classic single-engine
-  /// run; N > 1 partitions client and server across engines synchronized
-  /// with conservative time windows (core::System sharding). Results are
-  /// identical — the sharded run is checked against the single-engine
-  /// goldens in the test suite.
-  std::size_t shards = 1;
   /// Rack topology: 0 racks = the classic two-host back-to-back wire.
   /// With racks >= 1 the System is wired as a leaf-spine fabric
   /// (SystemConfig::Wiring::kRack) over racks * hosts_per_rack hosts; the
   /// client runs on host 0, the server on the last host (the far corner
   /// of the topology), and the access-link bandwidth/propagation follow
-  /// the SystemConfig's wire parameters. With shards > 1 the default
-  /// block placement must be rack-aligned (shards must divide racks).
+  /// the SystemConfig's wire parameters.
   std::size_t racks = 0;
   std::size_t hosts_per_rack = 2;
   /// Connection-endpoint mode (the conn=exclusive|shared knob, forwarded
@@ -89,9 +82,6 @@ struct LatencyResult {
   /// Engine clamp count for the run — nonzero means the run was truncated
   /// and its numbers are suspect (surface it, don't bury it).
   std::uint64_t clamped_events = 0;
-  /// Sharded-run sync statistics (zero for single-engine runs).
-  std::uint64_t shard_windows = 0;
-  std::uint64_t shard_messages = 0;
 };
 
 struct BandwidthResult {
@@ -103,9 +93,6 @@ struct BandwidthResult {
   std::vector<trace::Record> trace;
   std::uint64_t trace_dropped = 0;
   std::uint64_t clamped_events = 0;
-  /// Sharded-run sync statistics (zero for single-engine runs).
-  std::uint64_t shard_windows = 0;
-  std::uint64_t shard_messages = 0;
 };
 
 /// Run a ping-pong latency test on a fresh instance of `cfg`.

@@ -20,11 +20,6 @@
 //                         policy chain (QosTokenBucket + OpRateQuota +
 //                         RegistrationQuota + SecurityAcl) paces the
 //                         attacker and restores the victims' tail latency.
-//
-// Both scenarios shard like the classic tests (connection setup is
-// out-of-band direct NIC state, so no sequential setup phase is needed)
-// and are bit-identical across shard counts — asserted in
-// tests/test_tenancy.cpp.
 #pragma once
 
 #include "core/system.hpp"
@@ -48,7 +43,6 @@ struct ScaleParams {
   std::uint32_t window = 16;
   /// Issue through the CoRD kernel dataplane instead of bypass.
   bool cord = false;
-  std::size_t shards = 1;
 };
 
 struct ScaleResult {
@@ -98,7 +92,6 @@ struct NoisyParams {
   double attacker_bytes_per_sec = 32e6;  // QosTokenBucket override (shape)
   std::uint32_t max_live_mrs = 8;        // RegistrationQuota live cap
   double regs_per_sec = 2000.0;          // RegistrationQuota refill
-  std::size_t shards = 1;
 };
 
 struct NoisyResult {

@@ -26,7 +26,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -42,8 +41,6 @@ class Tracer;
 }  // namespace cord::trace
 
 namespace cord::sim {
-
-class ShardedEngine;
 
 class Engine {
  public:
@@ -103,47 +100,16 @@ class Engine {
   /// visible to callers lets the compiler collapse a schedule→dispatch
   /// ping-pong into register traffic.
   Time run() {
-    if (pending_ != 0) {
-      do {
-        step_one();
-      } while (pending_ != 0);
-      last_event_ = now_;
-    }
+    while (pending_ != 0) step_one();
     return now_;
   }
   /// Run until the queue drains or virtual time would pass `deadline`.
   /// Events after `deadline` stay queued; now() is clamped to `deadline`.
   Time run_until(Time deadline) {
-    if (pending_ != 0 && heap_.top().t <= deadline) {
-      do {
-        step_one();
-      } while (pending_ != 0 && heap_.top().t <= deadline);
-      last_event_ = now_;
-    }
+    while (pending_ != 0 && heap_.top().t <= deadline) step_one();
     if (now_ < deadline) now_ = deadline;
     return now_;
   }
-
-  /// Sentinel for "no queued event" (see next_event_time()).
-  static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
-  /// Timestamp of the earliest queued event, or kNoEvent when idle. Used
-  /// by the shard coordinator to compute conservative time windows; never
-  /// read on the hot loop.
-  Time next_event_time() const {
-    if (pending_ == 0) return kNoEvent;
-    return heap_.top().t;
-  }
-
-  /// Sharding context (sim/sharded.hpp). Null for a standalone engine;
-  /// set by ShardedEngine, which owns its member engines. Cold data: the
-  /// hot loop never touches it.
-  ShardedEngine* coordinator() const { return coordinator_; }
-  std::uint32_t shard_index() const { return shard_index_; }
-  /// Schedule `fn` at absolute virtual time `t` on `dst`, which may belong
-  /// to another shard (thread). Requires both engines to share a
-  /// coordinator; delivery is deferred to a conservative window edge when
-  /// the shards run in parallel. Defined in sharded.cpp.
-  void cross_post(Engine& dst, Time t, InlineFn fn);
 
   /// Number of detached roots that have not finished yet.
   std::size_t live_roots() const { return roots_.size(); }
@@ -190,19 +156,9 @@ class Engine {
 
  private:
   friend void detail::notify_root_done(Engine&, std::uint64_t) noexcept;
-  friend class ShardedEngine;
 
-  /// Advance the clock without dispatching anything. Used by the shard
-  /// coordinator for global-clock semantics in merged (sequential) mode
-  /// and to align shard clocks at window edges; never moves time backward.
-  void advance_now(Time t) {
-    if (t > now_) now_ = t;
-  }
-
-  /// Pop and dispatch exactly one event (requires pending_ != 0). The
-  /// body of both run loops; the coordinator's merged sequential mode also
-  /// calls it directly to interleave engines event-by-event in global
-  /// (t, shard) order.
+  /// Pop and dispatch exactly one event (requires pending_ != 0): the body
+  /// of both run loops.
   [[gnu::always_inline]] void step_one() {
     const Item item = queue_pop();
     now_ = item.t;
@@ -421,18 +377,11 @@ class Engine {
   FnSlot* free_slots_ = nullptr;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
   Time now_ = 0;
-  /// Virtual time of the latest event dispatched by run()/run_until().
-  /// Conservative-window execution parks now_ at window edges between
-  /// rounds; the shard coordinator reads this to report (and restore) the
-  /// true final time, which matches the single-engine run bit-for-bit.
-  Time last_event_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_events_ = 0;
   trace::Tracer* tracer_ = nullptr;
-  ShardedEngine* coordinator_ = nullptr;
-  std::uint32_t shard_index_ = 0;
 };
 
 }  // namespace cord::sim

@@ -16,7 +16,7 @@ void appendf(std::string& out, const char* fmt, auto... args) {
 double ps_to_us(double ps) { return ps / 1e6; }
 
 /// Slowest-first reservoir order: e2e descending, content order on ties
-/// (never span ids — the reservoir must be shard-count invariant).
+/// (never span ids — the reservoir must not depend on span numbering).
 bool slower(const Waterfall& a, const Waterfall& b) {
   if (a.e2e() != b.e2e()) return a.e2e() > b.e2e();
   return waterfall_before(a, b);
@@ -70,7 +70,7 @@ void Aggregator::ingest(std::span<const Record> records) {
   }
   // Stage 2: finalize every chain whose sender completion has arrived.
   // Completed waterfalls are observed in content order, so one-shot
-  // whole-trace ingests are shard-count invariant.
+  // whole-trace ingests do not depend on record emission order.
   std::vector<Waterfall> done;
   std::vector<std::uint32_t> done_spans;
   for (const auto& [span, chain] : pending_) {
@@ -211,8 +211,8 @@ std::string Aggregator::tenant_report(std::uint32_t tenant) const {
   return out;
 }
 
-std::string Aggregator::critpath_report(const sim::ShardStats* sync) const {
-  std::string out = critical_path_report(critical_, sync);
+std::string Aggregator::critpath_report() const {
+  std::string out = critical_path_report(critical_);
   if (!top_.empty()) {
     appendf(out, "slowest %zu spans:\n", top_.size());
     std::size_t rank = 1;

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "sim/sharded.hpp"
 
 namespace cord::trace::causal {
 
@@ -259,8 +258,7 @@ std::string waterfall_text(const Waterfall& w) {
   return out;
 }
 
-std::string critical_path_report(const CriticalPath& cp,
-                                 const sim::ShardStats* sync) {
+std::string critical_path_report(const CriticalPath& cp) {
   std::string out;
   if (cp.spans == 0) {
     out = "critical-path: no completed spans\n";
@@ -285,23 +283,6 @@ std::string critical_path_report(const CriticalPath& cp,
               100.0 * static_cast<double>(cp.binding[i]) /
                   static_cast<double>(cp.spans));
     }
-  }
-  if (sync != nullptr && !sync->barrier_wait_ns.empty()) {
-    // Wall-clock currency (host nanoseconds, not virtual time): how long
-    // each shard sat idle at window-edge barriers. Kept in its own
-    // section so the virtual-time stage table above stays shard-count
-    // invariant.
-    std::uint64_t total_ns = 0;
-    for (std::uint64_t ns : sync->barrier_wait_ns) total_ns += ns;
-    std::uint64_t waits = 0;
-    for (std::uint64_t n : sync->barrier_waits) waits += n;
-    appendf(out,
-            "  shard-sync (wall clock): %.3f ms barrier idle across %llu "
-            "shards, %llu waits, %llu windows\n",
-            static_cast<double>(total_ns) / 1e6,
-            static_cast<unsigned long long>(sync->barrier_wait_ns.size()),
-            static_cast<unsigned long long>(waits),
-            static_cast<unsigned long long>(sync->windows));
   }
   return out;
 }

@@ -28,7 +28,7 @@
 //
 // Determinism: waterfalls are pure functions of the record multiset and
 // are ordered by content (never by span id, which is a per-tracer
-// counter), so analysis output is identical across shard counts.
+// counter), so analysis output does not depend on record emission order.
 #pragma once
 
 #include <array>
@@ -41,10 +41,6 @@
 
 #include "sim/units.hpp"
 #include "trace/trace.hpp"
-
-namespace cord::sim {
-struct ShardStats;
-}
 
 namespace cord::trace::causal {
 
@@ -79,8 +75,8 @@ struct StageSlice {
 
 /// The exact latency breakdown of one completed work request.
 struct Waterfall {
-  std::uint32_t span = 0;    ///< correlation id (per-tracer; NOT stable
-                             ///< across shard counts — never order by it)
+  std::uint32_t span = 0;    ///< correlation id (per-tracer counter —
+                             ///< never order by it)
   std::uint32_t qpn = 0;
   std::uint32_t tenant = 0;
   std::uint8_t src_node = 0;
@@ -108,7 +104,7 @@ struct Waterfall {
   Stage binding() const;
 };
 
-/// Shard-invariant content ordering (every field except the span id).
+/// Content ordering (every field except the span id).
 bool waterfall_before(const Waterfall& a, const Waterfall& b);
 
 /// Build the waterfall of one span's records (any order; all records must
@@ -119,7 +115,7 @@ std::optional<Waterfall> build_waterfall(std::span<const Record> chain);
 
 /// Group a record stream by span and build every completed chain's
 /// waterfall, ordered by content (waterfall_before) — identical output
-/// for the same simulation at any shard count.
+/// for the same record multiset in any order.
 std::vector<Waterfall> build_waterfalls(std::span<const Record> records);
 
 /// Aggregated critical-path view over a set of waterfalls: per-stage
@@ -141,14 +137,10 @@ CriticalPath critical_path(std::span<const Waterfall> waterfalls);
 
 /// Render one waterfall as aligned text rows (stage, width, service,
 /// queue, share bar). Deliberately omits the span id so reports compare
-/// equal across shard counts.
+/// equal across runs that number spans differently.
 std::string waterfall_text(const Waterfall& w);
 
-/// Stage-share + binding-stage summary. When `sync` is non-null a
-/// wall-clock shard-synchronization section (barrier idle from the
-/// sharded run's stats — a different currency than virtual time, kept
-/// clearly apart) is appended; pass nullptr for shard-invariant output.
-std::string critical_path_report(const CriticalPath& cp,
-                                 const sim::ShardStats* sync = nullptr);
+/// Stage-share + binding-stage summary.
+std::string critical_path_report(const CriticalPath& cp);
 
 }  // namespace cord::trace::causal

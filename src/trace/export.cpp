@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <tuple>
-#include <unordered_map>
 
 namespace cord::trace {
 
@@ -224,62 +222,6 @@ std::vector<Record> parse_chrome_trace(std::string_view json) {
     out.push_back(r);
   }
   return out;
-}
-
-std::vector<Record> merge_by_time(std::vector<std::vector<Record>> streams) {
-  std::vector<Record> out;
-  std::size_t total = 0;
-  for (const auto& s : streams) total += s.size();
-  out.reserve(total);
-  for (auto& s : streams) out.insert(out.end(), s.begin(), s.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Record& a, const Record& b) { return a.t < b.t; });
-  return out;
-}
-
-std::vector<Record> canonical_trace(std::vector<Record> records) {
-  // Field-wise key ignoring span: the span id is a per-tracer counter, so
-  // runs with different shard counts assign different ids to the same
-  // logical work request.
-  using Key = std::tuple<sim::Time, std::uint8_t, std::uint8_t, std::uint32_t,
-                         std::uint32_t, std::uint64_t, sim::Time,
-                         std::uint16_t>;
-  const auto key = [](const Record& r) {
-    return Key{r.t, r.node, static_cast<std::uint8_t>(r.point),
-               r.qpn, r.tenant, r.arg, r.dur, r.aux};
-  };
-  // Renumber spans by the *contents* of their chains, not by raw id: each
-  // span maps to the sorted multiset of its records' keys, chains are
-  // ordered lexicographically by that signature, and ids are assigned in
-  // that order. Chains with identical signatures are interchangeable, so
-  // any tie-break yields the same bytes.
-  std::unordered_map<std::uint32_t, std::vector<Key>> sig;
-  for (const Record& r : records) {
-    if (r.span != 0) sig[r.span].push_back(key(r));
-  }
-  std::vector<std::pair<std::uint32_t, const std::vector<Key>*>> chains;
-  chains.reserve(sig.size());
-  for (auto& [span, keys] : sig) {
-    std::sort(keys.begin(), keys.end());
-    chains.emplace_back(span, &keys);
-  }
-  std::sort(chains.begin(), chains.end(),
-            [](const auto& a, const auto& b) { return *a.second < *b.second; });
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(chains.size());
-  std::uint32_t next = 1;
-  for (const auto& [span, keys] : chains) remap[span] = next++;
-  for (Record& r : records) {
-    if (r.span != 0) r.span = remap[r.span];  // 0 = not WR-scoped, keep
-  }
-  // Total order over every field makes the byte stream a pure function of
-  // the record multiset.
-  std::sort(records.begin(), records.end(),
-            [&](const Record& a, const Record& b) {
-              return std::make_tuple(key(a), a.span) <
-                     std::make_tuple(key(b), b.span);
-            });
-  return records;
 }
 
 }  // namespace cord::trace

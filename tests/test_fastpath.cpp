@@ -278,6 +278,57 @@ TEST(GoldenSmoke, Fig1ShapedLatencyAndBandwidth) {
   EXPECT_EQ(r.gbps, 0x1.899e6c9441779p+6);
   EXPECT_EQ(r.messages, 200u);
   EXPECT_EQ(r.elapsed, 1'065'575'000);
+
+  // RDMA write/read ping-pongs at 1 KiB.
+  const struct {
+    perftest::TestOp op;
+    double avg, p50, p99;
+  } rdma_lat_golden[] = {
+      {perftest::TestOp::kWrite, 0x1.80a3d70a3d70ap+0, 0x1.80a3d70a3d70ap+0,
+       0x1.80a3d70a3d70ap+0},
+      {perftest::TestOp::kRead, 0x1.c147ae147ae14p+0, 0x1.c147ae147ae14p+0,
+       0x1.c147ae147ae14p+0},
+  };
+  for (const auto& g : rdma_lat_golden) {
+    perftest::Params lp;
+    lp.op = g.op;
+    lp.msg_size = 1024;
+    lp.iterations = 30;
+    lp.warmup = 5;
+    const auto lr = perftest::run_latency(cfg, lp);
+    const int op = static_cast<int>(g.op);
+    EXPECT_EQ(lr.avg_us, g.avg) << "op=" << op;
+    EXPECT_EQ(lr.p50_us, g.p50) << "op=" << op;
+    EXPECT_EQ(lr.p99_us, g.p99) << "op=" << op;
+  }
+
+  // Windowed RDMA write/read and UD send bandwidth (100 messages each).
+  const struct {
+    perftest::TestOp op;
+    perftest::Transport transport;
+    std::size_t size;
+    double gbps;
+    sim::Time elapsed;
+  } bw_golden[] = {
+      {perftest::TestOp::kWrite, perftest::Transport::kRC, 8192,
+       0x1.7e225515a4f1dp+6, 68'600'000},
+      {perftest::TestOp::kRead, perftest::Transport::kRC, 8192,
+       0x1.7e8d670433edcp+6, 68'525'000},
+      {perftest::TestOp::kSend, perftest::Transport::kUD, 2048,
+       0x1.6b957b34e7803p+6, 18'025'000},
+  };
+  for (const auto& g : bw_golden) {
+    perftest::Params bp;
+    bp.op = g.op;
+    bp.transport = g.transport;
+    bp.msg_size = g.size;
+    bp.iterations = 100;
+    const auto br = perftest::run_bandwidth(cfg, bp);
+    const int op = static_cast<int>(g.op);
+    EXPECT_EQ(br.gbps, g.gbps) << "op=" << op << " size=" << g.size;
+    EXPECT_EQ(br.elapsed, g.elapsed) << "op=" << op << " size=" << g.size;
+    EXPECT_EQ(br.messages, 100u);
+  }
 }
 
 }  // namespace

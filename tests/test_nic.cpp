@@ -1,6 +1,7 @@
 // Unit tests for the simulated NIC: registration/protection, the QP state
 // machine, RC send/recv, RDMA read/write, UD datagrams, inline data,
-// error semantics (rkey violations, RNR, flush), and timing sanity.
+// error semantics (rkey violations, RNR, flush), doorbell/flush batching,
+// segmentation, and timing sanity.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -734,6 +735,87 @@ TEST(SqDepth, BackpressureWhenFull) {
   EXPECT_EQ(f.nic0->post_send(*qp, SendWr{wr}), kOk);
   EXPECT_EQ(f.nic0->post_send(*qp, SendWr{wr}), kOk);
   EXPECT_EQ(f.nic0->post_send(*qp, SendWr{wr}), kErrQueueFull);
+}
+
+// --- Doorbell/completion batching -------------------------------------
+
+std::uintptr_t addr_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+TEST(NicBatching, BurstOfPostsRingsOneDoorbell) {
+  TwoNodeFixture f;
+  auto pd0 = f.nic0->alloc_pd();
+  auto pd1 = f.nic1->alloc_pd();
+  auto* scq0 = f.nic0->create_cq(64);
+  auto* rcq0 = f.nic0->create_cq(64);
+  auto* scq1 = f.nic1->create_cq(64);
+  auto* rcq1 = f.nic1->create_cq(64);
+  auto* qp0 = f.nic0->create_qp({nic::QpType::kRC, pd0, scq0, rcq0, 64, 64, 0});
+  auto* qp1 = f.nic1->create_qp({nic::QpType::kRC, pd1, scq1, rcq1, 64, 64, 0});
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kInit), nic::kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kRtr, {1, qp1->qpn()}), nic::kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kRts), nic::kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, nic::QpState::kInit), nic::kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, nic::QpState::kRtr, {0, qp0->qpn()}), nic::kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, nic::QpState::kRts), nic::kOk);
+
+  std::vector<std::byte> src(64, std::byte{0x5A}), dst(4 * 64);
+  const auto& mr_src = f.nic0->register_mr(pd0, src.data(), src.size(), 0);
+  const auto& mr_dst = f.nic1->register_mr(pd1, dst.data(), dst.size(),
+                                           nic::kAccessLocalWrite);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(f.nic1->post_recv(
+                  *qp1, {std::uint64_t(i),
+                         {addr_of(dst.data()) + 64u * i, 64, mr_dst.lkey}}),
+              nic::kOk);
+  }
+  // Four posts back-to-back, no engine progress in between: the first
+  // rings the doorbell and activates the SQ drain, the rest ride the burst.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(f.nic0->post_send(
+                  *qp0, nic::SendWr{.wr_id = std::uint64_t(i),
+                                    .sge = {addr_of(src.data()), 64, mr_src.lkey}}),
+              nic::kOk);
+  }
+  const auto& c = f.nic0->counters();
+  EXPECT_EQ(c.doorbells, 1u);
+  EXPECT_EQ(c.doorbells_coalesced, 3u);
+  f.engine.run();
+  EXPECT_EQ(c.sq_bursts, 1u);
+  EXPECT_EQ(c.sq_burst_wrs, 4u);
+  std::array<nic::Cqe, 8> wc;
+  EXPECT_EQ(scq0->poll(wc), 4u);
+  EXPECT_EQ(rcq1->poll(wc), 4u);
+}
+
+TEST(NicBatching, ErrorFlushCoalescesIntoOneBatch) {
+  TwoNodeFixture f;
+  auto pd0 = f.nic0->alloc_pd();
+  auto* scq0 = f.nic0->create_cq(64);
+  auto* rcq0 = f.nic0->create_cq(64);
+  auto* qp0 = f.nic0->create_qp({nic::QpType::kRC, pd0, scq0, rcq0, 64, 64, 0});
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kInit), nic::kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kRtr, {1, 99}), nic::kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, nic::QpState::kRts), nic::kOk);
+  std::vector<std::byte> buf(256);
+  const auto& mr = f.nic0->register_mr(pd0, buf.data(), buf.size(),
+                                       nic::kAccessLocalWrite);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(f.nic0->post_recv(
+                  *qp0, {std::uint64_t(i), {addr_of(buf.data()), 64, mr.lkey}}),
+              nic::kOk);
+  }
+  f.nic0->qp_set_error(*qp0);
+  f.engine.run();
+  const auto& c = f.nic0->counters();
+  EXPECT_EQ(c.cqe_flush_batches, 1u);
+  EXPECT_EQ(c.cqe_flushed, 3u);
+  std::array<nic::Cqe, 8> wc;
+  ASSERT_EQ(rcq0->poll(wc), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(wc[i].status, nic::WcStatus::kWorkRequestFlushed);
+  }
 }
 
 // --- MTU segmentation contract (nic/segment.hpp) -----------------------

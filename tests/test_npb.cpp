@@ -123,6 +123,35 @@ TEST(Fig6Small, EpInsensitiveToNetwork) {
   EXPECT_NEAR(ipoib / rdma, 1.0, 0.05) << "EP barely communicates";
 }
 
+TEST(Determinism, TracingLeavesElapsedTimeUnchanged) {
+  // Arming the tracer must not change the modelled run: traced and
+  // untraced runs take the same NIC drain path. IS at 4 ranks on System A
+  // drives several QPs per NIC, where a differently ordered drain would
+  // reserve shared NIC resources in a different order.
+  const struct {
+    NetMode net;
+    sim::Time elapsed;
+  } cases[] = {
+      {NetMode::kBypass, 1'572'572'659},
+      {NetMode::kCord, 1'725'441'787},
+  };
+  for (const auto& c : cases) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(std::string(c.net == NetMode::kCord ? "cord" : "bypass") +
+                   (traced ? " traced" : " untraced"));
+      core::System sys(core::system_a(), 2);
+      mpi::World world(sys, 4, {.net = c.net});
+      sys.set_tracing(traced);
+      const Result r = run(world, RunConfig{Kernel::kIS, Class::kS,
+                                            /*verify=*/false, 0});
+      EXPECT_EQ(r.elapsed, c.elapsed);
+      if (traced) {
+        EXPECT_GT(sys.tracer().size(), 0u);
+      }
+    }
+  }
+}
+
 TEST(Determinism, NpbRunsReproduce) {
   const Result a = run_kernel(Kernel::kMG, 8, NetMode::kBypass);
   const Result b = run_kernel(Kernel::kMG, 8, NetMode::kBypass);

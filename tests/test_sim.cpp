@@ -1,13 +1,15 @@
 // Unit tests for the discrete-event simulation core: engine ordering,
 // coroutine task composition, latches/signals/channels, FIFO resources,
-// RNG determinism, and statistics.
+// RNG determinism, statistics, and the coroutine frame arena.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -336,6 +338,53 @@ TEST(Stats, ThroughputCounter) {
   c.add(1'000'000);  // 1 MB over 1 ms -> 1 GB/s -> 8 Gbit/s
   EXPECT_NEAR(c.per_second(ms(1)), 1e9, 1.0);
   EXPECT_NEAR(c.gbit_per_sec(ms(1)), 8.0, 1e-9);
+}
+
+// --- Coroutine frame arena -------------------------------------------
+
+TEST(FrameArena, RecyclesBlocksLifo) {
+  using namespace detail;
+  const auto s0 = frame_arena_stats();
+  void* a = frame_alloc(256);
+  ASSERT_NE(a, nullptr);
+  frame_free(a, 256);
+  void* b = frame_alloc(256);
+  EXPECT_EQ(a, b);  // same size class comes straight off the freelist
+  frame_free(b, 256);
+  const auto s1 = frame_arena_stats();
+  EXPECT_EQ(s1.allocs, s0.allocs + 2);
+  EXPECT_EQ(s1.fallback_allocs, s0.fallback_allocs);
+}
+
+TEST(FrameArena, OversizedFramesFallBackToHeap) {
+  using namespace detail;
+  const auto s0 = frame_arena_stats();
+  void* big = frame_alloc(1 << 16);
+  ASSERT_NE(big, nullptr);
+  std::memset(big, 0xCD, 1 << 16);
+  frame_free(big, 1 << 16);
+  EXPECT_EQ(frame_arena_stats().fallback_allocs, s0.fallback_allocs + 1);
+}
+
+Task<> trivial_task(int& counter) {
+  ++counter;
+  co_return;
+}
+
+TEST(FrameArena, SpawnHeavyWorkloadReusesSlabSpace) {
+  using namespace detail;
+  Engine e;
+  int ran = 0;
+  for (int i = 0; i < 64; ++i) e.spawn(trivial_task(ran));
+  e.run();
+  ASSERT_EQ(ran, 64);
+  const std::size_t warm_bytes = frame_arena_stats().slab_bytes;
+  for (int i = 0; i < 512; ++i) {
+    e.spawn(trivial_task(ran));
+    e.run();  // frame freed before the next spawn: steady-state recycling
+  }
+  EXPECT_EQ(frame_arena_stats().slab_bytes, warm_bytes);
+  EXPECT_EQ(ran, 64 + 512);
 }
 
 }  // namespace

@@ -483,7 +483,7 @@ TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
   for (int i = 0; i < 5000; ++i) {
     sys.engine().call_at(sim::ns(10 + i * 5), [&fired] { ++fired; });
   }
-  sys.sharded().run();
+  sys.engine().run();
   EXPECT_EQ(fired, 5000);
   EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 5000);
   // The same stats surface per host through the kernel's /proc-style
@@ -501,7 +501,7 @@ TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
 TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {
   // Ten sequential RC sends (each waits for its completion): every post
   // rings its own doorbell, activates one burst of one WR, and the fused
-  // drain (no tracer attached) segments one 64-byte chunk per message.
+  // drain segments one 64-byte chunk per message.
   core::System sys(core::system_l(), 2);
   std::uint32_t qpn = 0;
   int failures = 0;

@@ -1,5 +1,6 @@
 // MPI World mechanics: rank placement, traffic accounting, configuration
-// knobs (eager threshold, kernel-routed polls), and error propagation.
+// knobs (eager threshold, kernel-routed polls), input validation, and
+// error propagation.
 #include <gtest/gtest.h>
 
 #include "mpi/world.hpp"
@@ -13,6 +14,15 @@ TEST(World, BlockDistributionAcrossHosts) {
   World world(sys, 10, {});
   for (int r = 0; r < 5; ++r) EXPECT_EQ(world.host_of(r), 0) << "rank " << r;
   for (int r = 5; r < 10; ++r) EXPECT_EQ(world.host_of(r), 1) << "rank " << r;
+}
+
+TEST(World, RejectsInvalidInputs) {
+  core::System sys(core::system_l(), 2);
+  EXPECT_THROW(World(sys, 0, {}), std::invalid_argument);
+  EXPECT_THROW(World(sys, -2, {}), std::invalid_argument);
+  EXPECT_THROW(World(sys, 4, {.send_slots = 0}), std::invalid_argument);
+  EXPECT_THROW(World(sys, 4, {.srq_slots = 0}), std::invalid_argument);
+  EXPECT_NO_THROW(World(sys, 1, {}));
 }
 
 TEST(World, TrafficCountersGrowWithCommunication) {
