@@ -17,6 +17,7 @@
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
+#include "sock/socket.hpp"
 
 namespace {
 
@@ -333,6 +334,44 @@ BENCHMARK(BM_SyscallBatch)
     ->Args({256, 64, 0})
     ->Args({64, 1, 1})    // bypass reference: the amortization target
     ->Args({256, 1, 1});
+
+// IPoIB byte stream: one 1 MiB send through a connected socket pair,
+// drained by recv() into a 64 KiB sink. Every segment lands in the
+// receiver's queue and is copied out again, so this bounds the host cost
+// of moving socket payloads (the IPoIB share of the NPB figure runs).
+void BM_SocketStream(benchmark::State& state) {
+  constexpr std::size_t kMessage = 1u << 20;
+  sim::Engine engine;
+  fabric::Network net(engine);
+  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
+  nic::NicRegistry reg;
+  os::Host h0(engine, net, reg, 0, {}, {});
+  os::Host h1(engine, net, reg, 1, {}, {});
+  sock::SocketStack s0(h0, net);
+  sock::SocketStack s1(h1, net);
+  auto [tx, rx] = sock::SocketStack::connect(s0, s1);
+  std::vector<std::byte> src(kMessage, std::byte{0x5a});
+  std::vector<std::byte> sink(64u << 10);
+  for (auto _ : state) {
+    engine.spawn([](os::Core& c, sock::Socket* s,
+                    std::span<const std::byte> data) -> sim::Task<> {
+      (void)co_await s->send(c, data);
+    }(h0.core(0), tx, src));
+    engine.spawn([](os::Core& c, sock::Socket* s,
+                    std::span<std::byte> sink) -> sim::Task<> {
+      std::size_t got = 0;
+      while (got < kMessage) got += co_await s->recv(c, sink);
+    }(h1.core(0), rx, sink));
+    engine.run();
+    benchmark::DoNotOptimize(sink.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kMessage));
+}
+BENCHMARK(BM_SocketStream);
 
 }  // namespace
 

@@ -109,27 +109,29 @@ foreach(_name ${BASE_NAMES})
   endif()
 endforeach()
 
-# --- 1b. NIC hot-loop gate --------------------------------------------------
+# --- 1b. hot-loop gate ------------------------------------------------------
 # The fused SoA burst pipeline (DESIGN.md §15) is gated through the
-# BM_NicEndToEndMessage + BM_NicBurst entries of the committed baseline.
+# BM_NicEndToEndMessage + BM_NicBurst entries of the committed baseline,
+# and the IPoIB byte stream (DESIGN.md §10) through BM_SocketStream.
 # Section 1 already fails on >TOLERANCE% cpu_time regression for every
-# baseline entry; this block additionally fails if the NIC family is
+# baseline entry; this block additionally fails if one of these is
 # missing from the BASELINE itself, so dropping the benchmarks (or
 # regenerating the baseline without them) can't silently disarm the gate.
-set(_nic_required
+set(_hot_required
     "BM_NicEndToEndMessage"
     "BM_NicBurst/burst:1/bytes:64/depth:256/min_time:1.000"
     "BM_NicBurst/burst:16/bytes:64/depth:256/min_time:1.000"
     "BM_NicBurst/burst:256/bytes:64/depth:256/min_time:1.000"
     "BM_NicBurst/burst:256/bytes:4096/depth:256/min_time:1.000"
-    "BM_NicBurst/burst:16/bytes:65536/depth:64/min_time:1.000")
-foreach(_name ${_nic_required})
+    "BM_NicBurst/burst:16/bytes:65536/depth:64/min_time:1.000"
+    "BM_SocketStream")
+foreach(_name ${_hot_required})
   string(MAKE_C_IDENTIFIER "${_name}" _id)
   if(NOT DEFINED BASE_${_id})
     list(APPEND _failures
-         "NIC gate: ${_name} missing from committed baseline ${BASELINE}")
+         "hot-loop gate: ${_name} missing from committed baseline ${BASELINE}")
   elseif(DEFINED FRESH_${_id})
-    message(STATUS "NIC gate (${_name}): ${FRESH_${_id}} vs baseline "
+    message(STATUS "hot-loop gate (${_name}): ${FRESH_${_id}} vs baseline "
             "${BASE_${_id}} ns")
   endif()
 endforeach()

@@ -34,16 +34,16 @@ sim::Task<> SocketEndpoint::send(int dst, int tag, std::span<const std::byte> da
   // Serialize concurrent sends to the same peer (stream framing). Plain
   // delay rather than progress: the blocking send completes on socket
   // window events, which progress_once cannot observe.
-  while (readers_[dst].busy) co_await core().engine().delay(sim::us(1));
-  readers_[dst].busy = true;
-  FrameHeader hdr{tag, 0, data.size()};
+  while (sending_[dst] != 0) co_await core().engine().delay(sim::us(1));
+  sending_[dst] = 1;
+  const FrameHeader hdr{tag, 0, data.size()};
   std::vector<std::byte> frame(sizeof(FrameHeader) + data.size());
   std::memcpy(frame.data(), &hdr, sizeof(FrameHeader));
   if (!data.empty()) {
     std::memcpy(frame.data() + sizeof(FrameHeader), data.data(), data.size());
   }
   const int rc = co_await sockets_[dst]->send(core(), frame);
-  readers_[dst].busy = false;
+  sending_[dst] = 0;
   if (rc != 0) throw std::runtime_error("socket send failed");
 }
 
@@ -58,21 +58,21 @@ sim::Task<bool> SocketEndpoint::pump(int peer) {
       co_await s->recv_exact(core(), raw);
       std::memcpy(&r.header, raw, sizeof(FrameHeader));
       r.have_header = true;
-      r.body.resize(r.header.size);
+      if (r.body.size() < r.header.size) r.body.resize(r.header.size);
       r.got = 0;
       any = true;
     }
-    if (r.got < r.body.size()) {
+    const std::span<std::byte> body =
+        std::span<std::byte>(r.body).first(r.header.size);
+    if (r.got < body.size()) {
       if (s->available() == 0) break;
-      const std::size_t n = co_await s->recv(
-          core(), std::span<std::byte>(r.body).subspan(r.got));
+      const std::size_t n = co_await s->recv(core(), body.subspan(r.got));
       r.got += n;
       any = true;
     }
-    if (r.got == r.body.size()) {
-      deliver_eager(peer, r.header.tag, r.body);
+    if (r.got == body.size()) {
+      deliver_eager(peer, r.header.tag, body);
       r.have_header = false;
-      r.body.clear();
       r.got = 0;
     }
   }

@@ -18,6 +18,7 @@ class SocketEndpoint final : public Endpoint {
       : rank_(rank), world_size_(world_size), core_(&core), stack_(&stack) {
     sockets_.resize(world_size, nullptr);
     readers_.resize(world_size);
+    sending_.resize(world_size, 0);
   }
 
   int rank() const override { return rank_; }
@@ -40,9 +41,8 @@ class SocketEndpoint final : public Endpoint {
   struct Reader {
     bool have_header = false;
     FrameHeader header;
-    std::vector<std::byte> body;
+    std::vector<std::byte> body;  // reused across frames; never shrinks
     std::size_t got = 0;
-    bool busy = false;  // a send is serializing on this peer's socket
   };
 
   sim::Task<> start_pull(PostedRecv&, std::uint64_t) override {
@@ -59,6 +59,7 @@ class SocketEndpoint final : public Endpoint {
   sock::SocketStack* stack_;
   std::vector<sock::Socket*> sockets_;
   std::vector<Reader> readers_;
+  std::vector<char> sending_;    // a send is serializing on this peer's socket
   std::unique_ptr<sim::Signal> epoll_signal_;
   std::deque<int> ready_;        // peers with signalled readiness
   std::vector<char> in_ready_;   // dedupe flags for ready_

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace cord::sim::detail {
@@ -26,52 +26,25 @@ struct FreeBlock {
   FreeBlock* next;
 };
 
-// Process-wide state: retired slabs (kept alive until exit — blocks from
-// them may sit on any thread's freelist) and orphaned freelists spliced
-// in by exiting threads.
-struct Global {
-  std::mutex mu;
-  std::vector<std::unique_ptr<std::byte[]>> slabs;
-  FreeBlock* orphans[kClasses] = {};
-};
-
-Global& global() {
-  static Global* g = new Global;  // immortal: frames may outlive statics
-  return *g;
-}
-
+// Trivially destructible, so the thread_local needs no init guard and is
+// never torn down: frames freed during static destruction still find it.
 struct ThreadCache {
   FreeBlock* free_[kClasses] = {};
   std::byte* bump = nullptr;
   std::byte* bump_end = nullptr;
+  // Every slab this thread carved; deliberately never freed, so a block
+  // cannot outlive its slab.
+  std::vector<std::unique_ptr<std::byte[]>>* slabs = nullptr;
   FrameArenaStats stats;
-
-  ~ThreadCache() {
-    // Splice everything this thread cached back into the global pool so a
-    // short-lived thread never strands recycled blocks.
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      while (FreeBlock* b = free_[c]) {
-        free_[c] = b->next;
-        b->next = g.orphans[c];
-        g.orphans[c] = b;
-      }
-    }
-    // Remaining bump space is abandoned (at most one slab tail per
-    // thread); the slab itself already lives in the global registry.
-  }
 
   void* carve(std::size_t c) {
     const std::size_t bytes = class_bytes(c);
     if (static_cast<std::size_t>(bump_end - bump) < bytes) {
-      auto slab = std::make_unique<std::byte[]>(kSlabBytes);
-      bump = slab.get();
+      if (slabs == nullptr) slabs = new std::vector<std::unique_ptr<std::byte[]>>;
+      slabs->push_back(std::make_unique<std::byte[]>(kSlabBytes));
+      bump = slabs->back().get();
       bump_end = bump + kSlabBytes;
       stats.slab_bytes += kSlabBytes;
-      Global& g = global();
-      std::lock_guard<std::mutex> lock(g.mu);
-      g.slabs.push_back(std::move(slab));
     }
     void* p = bump;
     bump += bytes;
@@ -79,6 +52,8 @@ struct ThreadCache {
     return p;
   }
 };
+
+static_assert(std::is_trivially_destructible_v<ThreadCache>);
 
 ThreadCache& cache() {
   thread_local ThreadCache tc;
@@ -95,20 +70,6 @@ void* frame_alloc(std::size_t n) {
     return ::operator new(n);
   }
   const std::size_t c = class_of(n);
-  if (FreeBlock* b = tc.free_[c]) {
-    tc.free_[c] = b->next;
-    return b;
-  }
-  // Refill from orphaned lists (blocks freed by threads that exited)
-  // before carving fresh slab space.
-  {
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.orphans[c] != nullptr) {
-      tc.free_[c] = g.orphans[c];
-      g.orphans[c] = nullptr;
-    }
-  }
   if (FreeBlock* b = tc.free_[c]) {
     tc.free_[c] = b->next;
     return b;

@@ -7,15 +7,12 @@
 // Spawn-heavy workloads (one frame per simulated request) recycle frames
 // at freelist cost and never touch the global allocator in steady state.
 //
-// Threading: allocation and same-thread free go through a thread_local
-// cache with no synchronization. A frame freed on a different thread than
-// the one that allocated it lands on that thread's local freelist —
-// blocks are just memory, freelist membership is independent of which
-// slab they came from. Slabs
-// are retired to a process-wide registry and reclaimed only at process
-// exit, so a block never outlives its slab; when a thread exits, its
-// cached freelists are spliced into a mutex-protected global pool that
-// other threads refill from, so short-lived threads leak nothing.
+// Threading: the simulator runs on one thread, and each thread gets its
+// own cache with no synchronization. The cache owns its slabs and never
+// frees them, so a block never outlives its slab, even when a frame is
+// freed during static destruction. A thread that exits strands its slabs
+// and freelists until process exit; nothing in the simulator starts
+// threads, so nothing is shared or handed back.
 #pragma once
 
 #include <cstddef>

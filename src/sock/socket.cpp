@@ -1,6 +1,7 @@
 #include "sock/socket.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace cord::sock {
 
@@ -58,12 +59,16 @@ sim::Task<int> Socket::send(os::Core& core, std::span<const std::byte> data) {
     const sim::Time rx_done =
         peer_stack.rx_path_.reserve_at(wire_done, rx_busy) + cfg.stack_rx;
 
-    // Deliver the bytes into the peer's receive queue at rx_done.
-    std::vector<std::byte> payload(data.begin() + offset,
-                                   data.begin() + offset + seg);
-    engine.call_at(rx_done, [this, payload = std::move(payload)]() mutable {
+    // The host's one copy of the user->kernel copy charged above, made
+    // per segment; the caller's span stays valid until send() returns.
+    std::vector<std::byte> bytes(data.begin() + offset,
+                                 data.begin() + offset + seg);
+
+    // Deliver the segment into the peer's receive queue at rx_done.
+    engine.call_at(rx_done, [this, bytes = std::move(bytes)]() mutable {
       Socket* p = peer_;
-      for (std::byte b : payload) p->rx_.push_back(b);
+      p->rx_bytes_ += bytes.size();
+      p->rx_.push_back(Segment{std::move(bytes), 0});
       // The window opens when the receiver *consumes* (TCP rwnd
       // semantics), not when bytes arrive — see Socket::recv.
       p->rx_signal_.trigger();
@@ -75,22 +80,25 @@ sim::Task<int> Socket::send(os::Core& core, std::span<const std::byte> data) {
 }
 
 sim::Task<std::size_t> Socket::recv(os::Core& core, std::span<std::byte> out) {
-  SocketStack& stack = *local_stack_;
-  const SocketConfig& cfg = stack.cfg_;
   // recv()/epoll syscall entry.
   co_await core.work(core.syscall_cost(), os::Work::kKernel);
-  if (rx_.empty()) {
+  if (rx_bytes_ == 0) {
     // Sleep until data arrives; pay the interrupt + wakeup on arrival.
     co_await rx_signal_.wait();
     co_await core.work(core.model().interrupt_handling +
                            core.model().wakeup_latency,
                        os::Work::kKernel);
   }
-  const std::size_t n = std::min(out.size(), rx_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = rx_.front();
-    rx_.pop_front();
+  const std::size_t n = std::min(out.size(), rx_bytes_);
+  for (std::size_t copied = 0; copied < n;) {
+    Segment& s = rx_.front();
+    const std::size_t take = std::min(s.bytes.size() - s.consumed, n - copied);
+    std::memcpy(out.data() + copied, s.bytes.data() + s.consumed, take);
+    copied += take;
+    s.consumed += take;
+    if (s.consumed == s.bytes.size()) rx_.pop_front();  // frees the segment
   }
+  rx_bytes_ -= n;
   // Consuming opens the peer's send window (TCP flow control).
   peer_->inflight_ -= std::min<std::uint64_t>(peer_->inflight_, n);
   peer_->window_signal_.trigger();

@@ -16,6 +16,12 @@
 // The per-host TX/RX kernel paths are FIFO resources: they cap aggregate
 // IPoIB throughput per node (a saturated softirq core), which is what
 // makes data-intensive NPB runs up to ~2x slower on IPoIB (Fig. 6).
+//
+// Host data path: the model charges two kernel copies per message (user->
+// kernel in send, kernel->user in recv), and the simulator makes exactly
+// those two. send() copies each segment's bytes out of the caller's
+// buffer when it queues the segment; recv() memcpys out of the queued
+// segments (no per-byte work), and frees each one once fully consumed.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "os/kernel.hpp"
 #include "sim/event.hpp"
@@ -64,7 +71,8 @@ class Socket {
   Socket(sim::Engine& engine) : rx_signal_(engine), window_signal_(engine) {}
 
   /// Send the whole span; blocks (virtual time) on socket-buffer
-  /// backpressure. Returns 0 or a negative errno.
+  /// backpressure. Returns 0 or a negative errno. `data` must stay valid
+  /// until the returned task completes.
   sim::Task<int> send(os::Core& core, std::span<const std::byte> data);
 
   /// Receive up to out.size() bytes; blocks until at least one byte is
@@ -74,7 +82,7 @@ class Socket {
   /// Receive exactly out.size() bytes (loops over recv).
   sim::Task<> recv_exact(os::Core& core, std::span<std::byte> out);
 
-  std::size_t available() const { return rx_.size(); }
+  std::size_t available() const { return rx_bytes_; }
 
   /// Epoll-style readiness callback: invoked whenever bytes are delivered
   /// into this socket's receive queue.
@@ -88,7 +96,14 @@ class Socket {
   SocketStack* local_stack_ = nullptr;
   Socket* peer_ = nullptr;
 
-  std::deque<std::byte> rx_;        // received, not yet consumed
+  // One delivered segment and how much of it recv() has consumed.
+  struct Segment {
+    std::vector<std::byte> bytes;
+    std::size_t consumed = 0;
+  };
+
+  std::deque<Segment> rx_;          // received, not yet consumed
+  std::size_t rx_bytes_ = 0;        // unconsumed bytes across rx_
   sim::Signal rx_signal_;
   std::uint64_t inflight_ = 0;      // bytes sent but not yet delivered
   sim::Signal window_signal_;

@@ -115,6 +115,32 @@ TEST(Fig6Small, CordCloseToRdmaIpoibSlowerOnIs) {
   EXPECT_GT(ipoib, cord);
 }
 
+TEST(IpoibGolden, IsAndCgClassSExact) {
+  // Golden values for the IPoIB baseline (hex floats and integer
+  // picoseconds are exact). The socket stack's host data structures may
+  // change freely; its modelled charges may not, so these must never move
+  // unless the IPoIB cost model itself changes on purpose.
+  const struct {
+    Kernel kernel;
+    sim::Time elapsed;
+    double elapsed_ms;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  } cases[] = {
+      {Kernel::kIS, 2'144'219'810, 0x1.1275cb73b152ap+1, 1416, 2'332'504},
+      {Kernel::kCG, 40'933'028'250, 0x1.4776d783dff3fp+5, 24384, 34'137'048},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.kernel));
+    const Result r = run_kernel(c.kernel, 8, NetMode::kIpoib);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.elapsed, c.elapsed);
+    EXPECT_EQ(sim::to_ms(r.elapsed), c.elapsed_ms);
+    EXPECT_EQ(r.messages, c.messages);
+    EXPECT_EQ(r.bytes, c.bytes);
+  }
+}
+
 TEST(Fig6Small, EpInsensitiveToNetwork) {
   const double rdma =
       sim::to_ms(run_kernel(Kernel::kEP, 8, NetMode::kBypass, false).elapsed);

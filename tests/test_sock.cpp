@@ -18,6 +18,26 @@ struct SockFixture : TwoHostFixture {
   SocketStack stack1{*host1, network};
 };
 
+// A small MSS so one send becomes many segments, and reads cross their
+// boundaries.
+struct SmallMssFixture : TwoHostFixture {
+  static SocketConfig small_mss() {
+    SocketConfig cfg;
+    cfg.mss = 1000;
+    return cfg;
+  }
+  SocketStack stack0{*host0, network, small_mss()};
+  SocketStack stack1{*host1, network, small_mss()};
+};
+
+std::vector<std::byte> pattern(std::size_t n, unsigned seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>(i * 131 + seed * 17 + (i >> 8));
+  }
+  return v;
+}
+
 TEST(Socket, BytesArriveInOrderAndIntact) {
   SockFixture f;
   auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
@@ -37,6 +57,99 @@ TEST(Socket, BytesArriveInOrderAndIntact) {
     co_await tx.join();
   }(f, a, b, sent, got));
   EXPECT_EQ(sent, got);
+}
+
+TEST(Socket, ReadsStraddleSegmentBoundaries) {
+  SmallMssFixture f;
+  auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
+  const std::vector<std::byte> sent = pattern(10'007, 3);
+  std::vector<std::byte> got;
+  run_task(f.engine, [](SmallMssFixture& f, Socket* a, Socket* b,
+                        const std::vector<std::byte>& sent,
+                        std::vector<std::byte>& got) -> sim::Task<> {
+    EXPECT_EQ(co_await a->send(f.host0->core(0), sent), 0);
+    co_await f.engine.delay(sim::ms(1));  // every segment has landed
+    EXPECT_EQ(b->available(), sent.size());
+    // 7 B reads straddle the 1000 B segment edges; 2500 B reads (> mss)
+    // span several segments at once.
+    const std::size_t sizes[] = {7, 2500, 7, 7, 1, 1000, 2500};
+    std::vector<std::byte> buf(2500);
+    std::size_t i = 0;
+    while (got.size() < sent.size()) {
+      const std::size_t want = sizes[i++ % std::size(sizes)];
+      const std::size_t n = co_await b->recv(
+          f.host1->core(0), std::span<std::byte>(buf).first(want));
+      EXPECT_EQ(n, std::min(want, sent.size() - got.size()));
+      got.insert(got.end(), buf.begin(), buf.begin() + n);
+      EXPECT_EQ(b->available(), sent.size() - got.size());
+    }
+  }(f, a, b, sent, got));
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(b->available(), 0u);
+}
+
+TEST(Socket, BackToBackSendsDrainByInterleavedPartialReads) {
+  SmallMssFixture f;
+  auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
+  const std::vector<std::byte> first = pattern(3000, 5);
+  const std::vector<std::byte> second = pattern(5001, 9);
+  std::vector<std::byte> expected = first;
+  expected.insert(expected.end(), second.begin(), second.end());
+  std::vector<std::byte> got;
+  run_task(f.engine, [](SmallMssFixture& f, Socket* a, Socket* b,
+                        const std::vector<std::byte>& first,
+                        const std::vector<std::byte>& second,
+                        std::size_t total,
+                        std::vector<std::byte>& got) -> sim::Task<> {
+    sim::Joinable tx(f.engine, [](os::Core& c, Socket* a,
+                                  const std::vector<std::byte>& x,
+                                  const std::vector<std::byte>& y) -> sim::Task<> {
+      EXPECT_EQ(co_await a->send(c, x), 0);
+      EXPECT_EQ(co_await a->send(c, y), 0);
+    }(f.host0->core(0), a, first, second));
+    // Reads race the arrivals: each takes whatever has landed so far, so
+    // partial reads cross segment edges and the edge between the sends.
+    std::vector<std::byte> buf(777);
+    std::size_t k = 0;
+    while (got.size() < total) {
+      const std::size_t want = (k++ % 2 == 0) ? 13 : 777;
+      const std::size_t n = co_await b->recv(
+          f.host1->core(0), std::span<std::byte>(buf).first(want));
+      EXPECT_GT(n, 0u);
+      EXPECT_LE(n, want);
+      got.insert(got.end(), buf.begin(), buf.begin() + n);
+      EXPECT_LE(b->available(), total - got.size());
+    }
+    co_await tx.join();
+  }(f, a, b, first, second, expected.size(), got));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(b->available(), 0u);
+}
+
+TEST(Socket, ZeroLengthSendDeliversNothing) {
+  SockFixture f;
+  auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
+  const std::vector<std::byte> msg = pattern(5, 1);
+  std::vector<std::byte> out(64);
+  std::size_t n = 0;
+  run_task(f.engine, [](SockFixture& f, Socket* a, Socket* b,
+                        const std::vector<std::byte>& msg,
+                        std::vector<std::byte>& out,
+                        std::size_t& n) -> sim::Task<> {
+    EXPECT_EQ(
+        co_await a->send(f.host0->core(0), std::span<const std::byte>{}), 0);
+    co_await f.engine.delay(sim::ms(1));
+    EXPECT_EQ(b->available(), 0u);
+    EXPECT_EQ(f.stack0.segments_tx(), 0u);
+    EXPECT_EQ(f.stack0.bytes_tx(), 0u);
+    // The stream still works: the next send's bytes are all that arrive.
+    EXPECT_EQ(co_await a->send(f.host0->core(0), msg), 0);
+    n = co_await b->recv(f.host1->core(0), out);
+    EXPECT_EQ(b->available(), 0u);
+  }(f, a, b, msg, out, n));
+  ASSERT_EQ(n, msg.size());
+  EXPECT_TRUE(std::equal(msg.begin(), msg.end(), out.begin()));
+  EXPECT_EQ(f.stack0.segments_tx(), 1u);
 }
 
 TEST(Socket, SmallMessageLatencyIsKernelStackBound) {
@@ -59,6 +172,10 @@ TEST(Socket, SmallMessageLatencyIsKernelStackBound) {
   // roughly an order of magnitude above the ~1.2 us RDMA send.
   EXPECT_GT(sim::to_us(arrival), 4.0);
   EXPECT_LT(sim::to_us(arrival), 40.0);
+  // Exact golden: the host-side byte queue must not shift a modelled
+  // charge (syscalls, copies, stack, interrupt + wakeup).
+  EXPECT_EQ(arrival, 10'975'776);
+  EXPECT_EQ(sim::to_us(arrival), 0x1.5f398e9707182p+3);
 }
 
 TEST(Socket, SingleStreamThroughputIsIpoibClass) {
