@@ -107,64 +107,66 @@ System::System(SystemConfig cfg, std::size_t host_count)
         engine_, network_, registry_, static_cast<nic::NodeId>(i), cfg_.nic,
         cfg_.cpu, cfg_.kernel));
   }
-  // Engine-health gauges, read live (no per-event bookkeeping). The clamp
-  // gauge is how the bench harness notices a truncated run (satellite of
-  // the observability work: a clamped run is a lie unless surfaced).
-  metrics_.callback_gauge("engine.events_processed", [this] {
-    return static_cast<std::int64_t>(engine_.events_processed());
-  });
-  metrics_.callback_gauge("engine.clamped_events", [this] {
-    return static_cast<std::int64_t>(engine_.clamped_events());
-  });
-  // Event-queue health: depth high-water mark — a live view, zero
-  // per-event bookkeeping.
-  metrics_.callback_gauge("engine.queue_peak_depth", [this] {
-    return static_cast<std::int64_t>(engine_.queue_peak_depth());
-  });
-  // System-wide NIC doorbell/burst totals, summed over hosts at read
-  // time. Mirrors the per-host gauges each Kernel exposes through
-  // proc_read("metrics"), so fleet-level dashboards don't have to crawl
-  // every host.
-  const auto nic_sum = [this](std::uint64_t nic::NicCounters::*field) {
-    std::int64_t total = 0;
-    for (const auto& h : hosts_) {
-      total += static_cast<std::int64_t>(h->nic().counters().*field);
+  // The system view of every host row, then the system's own rows; all
+  // are read live, with no per-event bookkeeping.
+  for (const auto& row : os::Kernel::metric_table()) {
+    const auto read = row.read;
+    switch (row.combine) {
+      case trace::Combine::kSum:
+        metrics_.callback_gauge(row.name, [this, read] {
+          std::uint64_t total = 0;
+          for (const auto& h : hosts_) total += read(h->kernel());
+          return static_cast<std::int64_t>(total);
+        });
+        break;
+      case trace::Combine::kMax:
+        metrics_.callback_gauge(row.name, [this, read] {
+          std::uint64_t most = 0;
+          for (const auto& h : hosts_) most = std::max(most, read(h->kernel()));
+          return static_cast<std::int64_t>(most);
+        });
+        break;
+      case trace::Combine::kEngineWide:
+        metrics_.callback_gauge(row.name, [this, read] {
+          return hosts_.empty()
+                     ? std::int64_t{0}
+                     : static_cast<std::int64_t>(read(hosts_.front()->kernel()));
+        });
+        break;
+      case trace::Combine::kHostOnly:
+        break;
     }
-    return total;
+  }
+  for (const auto& row : metric_table()) {
+    metrics_.callback_gauge(row.name, [this, read = row.read] {
+      return static_cast<std::int64_t>(read(*this));
+    });
+  }
+}
+
+std::span<const trace::MetricRow<System>> System::metric_table() {
+  static constexpr trace::MetricRow<System> kRows[] = {
+      // Engine health. The clamp gauge is how the bench harness notices a
+      // truncated run (a clamped run is a lie unless surfaced).
+      {"engine.events_processed", "events", "events the engine dispatched",
+       [](const System& s) { return s.engine_.events_processed(); }},
+      {"engine.clamped_events", "events",
+       "events scheduled in the past and clamped to now",
+       [](const System& s) { return s.engine_.clamped_events(); }},
+      // Causal-layer health: views of the aggregate analyze_causal() last
+      // built (zero until it runs; no data-path cost ever).
+      {"causal.spans", "spans", "spans in the last causal analysis",
+       [](const System& s) { return s.causal_.spans(); }},
+      {"causal.watchdog_violations", "violations",
+       "latency-SLO watchdog firings in the last causal analysis",
+       [](const System& s) { return s.causal_.watchdog_violations(); }},
+      {"causal.p99_e2e_ns", "ns", "p99 end-to-end span latency",
+       [](const System& s) {
+         return static_cast<std::uint64_t>(s.causal_.e2e().percentile(99.0) /
+                                           1e3);
+       }},
   };
-  metrics_.callback_gauge("nic.doorbells", [nic_sum] {
-    return nic_sum(&nic::NicCounters::doorbells);
-  });
-  metrics_.callback_gauge("nic.doorbells_coalesced", [nic_sum] {
-    return nic_sum(&nic::NicCounters::doorbells_coalesced);
-  });
-  metrics_.callback_gauge("nic.sq_bursts", [nic_sum] {
-    return nic_sum(&nic::NicCounters::sq_bursts);
-  });
-  metrics_.callback_gauge("nic.sq_burst_wrs", [nic_sum] {
-    return nic_sum(&nic::NicCounters::sq_burst_wrs);
-  });
-  metrics_.callback_gauge("nic.sq_fused_batches", [nic_sum] {
-    return nic_sum(&nic::NicCounters::sq_fused_batches);
-  });
-  metrics_.callback_gauge("nic.seg_msgs", [nic_sum] {
-    return nic_sum(&nic::NicCounters::seg_msgs);
-  });
-  metrics_.callback_gauge("nic.seg_chunks", [nic_sum] {
-    return nic_sum(&nic::NicCounters::seg_chunks);
-  });
-  // Causal-layer health: spans analyzed, watchdog firings, and the global
-  // p99 end-to-end latency — all views of the aggregate analyze_causal()
-  // last built (zero until it runs; no data-path cost ever).
-  metrics_.callback_gauge("causal.spans", [this] {
-    return static_cast<std::int64_t>(causal_.spans());
-  });
-  metrics_.callback_gauge("causal.watchdog_violations", [this] {
-    return static_cast<std::int64_t>(causal_.watchdog_violations());
-  });
-  metrics_.callback_gauge("causal.p99_e2e_ns", [this] {
-    return static_cast<std::int64_t>(causal_.e2e().percentile(99.0) / 1e3);
-  });
+  return kRows;
 }
 
 std::vector<trace::Record> System::merged_trace() const {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,9 +112,13 @@ class System {
   trace::causal::Aggregator& causal() { return causal_; }
   const trace::causal::Aggregator& causal() const { return causal_; }
 
-  /// System-wide metrics: live views of engine health (events processed,
-  /// event-count clamp) — distinct from each host kernel's registry.
+  /// System-wide metrics, built from the metric tables: every
+  /// os::Kernel::metric_table() row combined across hosts as the row says
+  /// (sum, max or read once), plus this class's own rows (engine health,
+  /// causal aggregate).
   trace::MetricsRegistry& metrics() { return metrics_; }
+  /// The rows only the system view has, read through the System.
+  static std::span<const trace::MetricRow<System>> metric_table();
 
   /// Context options for a process on this system in the given mode,
   /// applying the system's CoRD capabilities.

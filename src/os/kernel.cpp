@@ -5,112 +5,175 @@
 #include <cstdlib>
 #include <vector>
 
+#include "os/policies.hpp"
 #include "trace/trace.hpp"
 
 namespace cord::os {
 
+namespace {
+
+using Row = trace::MetricRow<Kernel>;
+using trace::Combine;
+
+// Per-tenant metrics the data-plane syscalls create on a tenant's first
+// crossing (label = tenant); named here because several call sites use
+// them.
+constexpr Row kTenantPostSends{"kernel.tenant.post_sends", "ops",
+                               "sends posted through the kernel"};
+constexpr Row kTenantPostRecvs{"kernel.tenant.post_recvs", "ops",
+                               "receives posted through the kernel"};
+constexpr Row kTenantPolls{"kernel.tenant.polls", "ops",
+                           "CQ polls through the kernel"};
+constexpr Row kTenantTxBytes{"kernel.tenant.tx_bytes", "bytes",
+                             "payload bytes of the sends posted"};
+constexpr Row kTenantCompletions{"kernel.tenant.completions", "cqes",
+                                 "completions harvested by kernel polls"};
+constexpr Row kTenantCrossings{"kernel.tenant.crossings", "crossings",
+                               "data-plane user-to-kernel crossings"};
+constexpr Row kTenantSyscallNs{"kernel.tenant.syscall_ns", "ns",
+                               "data-plane syscall duration histogram"};
+
+}  // namespace
+
+std::span<const Row> Kernel::metric_table() {
+  // Accessors are read-time callbacks, so the hot path keeps plain
+  // integer increments.
+  static constexpr Row kRows[] = {
+      // Crossing-vs-op split (batched submission makes them diverge: one
+      // crossing services a whole flushed ring), the flush shape and the
+      // policy-verdict fast-path cache health.
+      {"kernel.syscalls", "crossings",
+       "user-to-kernel crossings: one per syscall, one per batched flush",
+       [](const Kernel& k) { return k.syscalls_; }, Combine::kSum},
+      {"kernel.interrupts", "irqs", "completion interrupts handled",
+       [](const Kernel& k) { return k.interrupts_; }, Combine::kSum},
+      {"kernel.ops_serviced", "ops", "operations serviced across crossings",
+       [](const Kernel& k) { return k.ops_serviced_; }, Combine::kSum},
+      {"kernel.batch.flushes", "flushes", "batched submission flushes",
+       [](const Kernel& k) { return k.batch_flushes_; }, Combine::kSum},
+      {"kernel.batch.flushed_ops", "ops", "ops carried by batched flushes",
+       [](const Kernel& k) { return k.batch_flushed_ops_; }, Combine::kSum},
+      {"kernel.batch.max_wrs", "wrs", "deepest batched flush seen",
+       [](const Kernel& k) { return k.batch_max_wrs_; }, Combine::kMax},
+      {"kernel.verdict_cache.hits", "lookups",
+       "batched-path verdict lookups served from the cache",
+       [](const Kernel& k) { return k.verdicts_.stats().hits; },
+       Combine::kSum},
+      {"kernel.verdict_cache.misses", "lookups",
+       "batched-path verdict lookups that ran the full chain",
+       [](const Kernel& k) { return k.verdicts_.stats().misses; },
+       Combine::kSum},
+      {"kernel.verdict_cache.insertions", "verdicts",
+       "allow verdicts cached after a full-chain run",
+       [](const Kernel& k) { return k.verdicts_.stats().insertions; },
+       Combine::kSum},
+      {"kernel.policy_epoch", "epoch",
+       "policy chain verdict epoch (bumped by every chain change)",
+       [](const Kernel& k) { return k.policies_.epoch(); },
+       Combine::kHostOnly},
+      // Engine-queue health, live depth and high-water mark. Every host
+      // shares the system's one engine.
+      {"engine.queue_depth", "events", "events pending in the engine queue",
+       [](const Kernel& k) -> std::uint64_t {
+         return k.engine_->pending_events();
+       },
+       Combine::kEngineWide},
+      {"engine.queue_peak_depth", "events",
+       "high-water mark of the engine queue",
+       [](const Kernel& k) -> std::uint64_t {
+         return k.engine_->queue_peak_depth();
+       },
+       Combine::kEngineWide},
+      // The NIC doorbell/burst pipeline: how many doorbells rang, how many
+      // posts they absorbed, and how the fused SoA drain is batching WQE
+      // work (see nic::NicCounters).
+      {"nic.doorbells", "doorbells", "SQ doorbells rung",
+       [](const Kernel& k) { return k.nic_->counters().doorbells; },
+       Combine::kSum},
+      {"nic.doorbells_coalesced", "posts",
+       "posts absorbed by an already-draining SQ (no doorbell)",
+       [](const Kernel& k) { return k.nic_->counters().doorbells_coalesced; },
+       Combine::kSum},
+      {"nic.sq_bursts", "bursts", "SQ drain activations",
+       [](const Kernel& k) { return k.nic_->counters().sq_bursts; },
+       Combine::kSum},
+      {"nic.sq_burst_wrs", "wrs", "WRs drained by SQ bursts",
+       [](const Kernel& k) { return k.nic_->counters().sq_burst_wrs; },
+       Combine::kSum},
+      {"nic.sq_fused_batches", "batches", "fused SoA drain batches",
+       [](const Kernel& k) { return k.nic_->counters().sq_fused_batches; },
+       Combine::kSum},
+      {"nic.seg_msgs", "msgs", "messages segmented for the wire",
+       [](const Kernel& k) { return k.nic_->counters().seg_msgs; },
+       Combine::kSum},
+      {"nic.seg_chunks", "chunks", "MTU chunks those messages produced",
+       [](const Kernel& k) { return k.nic_->counters().seg_chunks; },
+       Combine::kSum},
+      // On-NIC context-cache health (ICM model, nic/icm.hpp). All zero
+      // while the cache is unbounded (the default); under a bounded
+      // configuration the miss/eviction rates are the first thing to read
+      // when a host's latency climbs with its connection count.
+      {"nic.icm.qp_hits", "lookups", "QP-context lookups hitting the ICM cache",
+       [](const Kernel& k) { return k.nic_->icm_qp_cache().stats().hits; },
+       Combine::kSum},
+      {"nic.icm.qp_misses", "lookups",
+       "QP-context lookups fetched from host memory",
+       [](const Kernel& k) { return k.nic_->icm_qp_cache().stats().misses; },
+       Combine::kSum},
+      {"nic.icm.qp_evictions", "contexts", "QP contexts evicted from ICM",
+       [](const Kernel& k) { return k.nic_->icm_qp_cache().stats().evictions; },
+       Combine::kSum},
+      {"nic.icm.mr_hits", "lookups", "MR-context lookups hitting the ICM cache",
+       [](const Kernel& k) { return k.nic_->icm_mr_cache().stats().hits; },
+       Combine::kSum},
+      {"nic.icm.mr_misses", "lookups",
+       "MR-context lookups fetched from host memory",
+       [](const Kernel& k) { return k.nic_->icm_mr_cache().stats().misses; },
+       Combine::kSum},
+      {"nic.icm.mr_evictions", "contexts", "MR contexts evicted from ICM",
+       [](const Kernel& k) { return k.nic_->icm_mr_cache().stats().evictions; },
+       Combine::kSum},
+      // Tail-latency watchdog firings of this host's causal aggregate. The
+      // refresh happens at read time, so an armed-but-unread watchdog still
+      // costs nothing on the data path. Every host ingests the one system
+      // trace, so the system view uses causal.watchdog_violations instead.
+      {"kernel.watchdog_violations", "violations",
+       "latency-SLO watchdog firings",
+       [](const Kernel& k) {
+         k.refresh_causal();
+         return k.causal_.watchdog_violations();
+       },
+       Combine::kHostOnly},
+      kTenantPostSends,
+      kTenantPostRecvs,
+      kTenantPolls,
+      kTenantTxBytes,
+      kTenantCompletions,
+      kTenantCrossings,
+      kTenantSyscallNs,
+      {policy_metric::kOpRateDenied, "ops", "ops denied by an OpRateQuota"},
+      {policy_metric::kRegDenied, "ops",
+       "MR registrations denied by a RegistrationQuota"},
+      {policy_metric::kPostSends, "ops", "sends seen by a StatsCollector"},
+      {policy_metric::kBytes, "bytes", "send bytes seen by a StatsCollector"},
+      {policy_metric::kPostRecvs, "ops", "receives seen by a StatsCollector"},
+      {policy_metric::kPolls, "ops", "CQ polls seen by a StatsCollector"},
+      {policy_metric::kRegMrs, "ops",
+       "MR registrations seen by a StatsCollector"},
+      {policy_metric::kDeregMrs, "ops",
+       "MR deregistrations seen by a StatsCollector"},
+  };
+  return kRows;
+}
+
 Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     : engine_(&engine), nic_(&nic), cfg_(cfg) {
-  // Live views of the kernel's own counters — read-time callbacks, so the
-  // hot path keeps plain integer increments.
-  metrics_.callback_gauge("kernel.syscalls", [this] {
-    return static_cast<std::int64_t>(syscalls_);
-  });
-  metrics_.callback_gauge("kernel.interrupts", [this] {
-    return static_cast<std::int64_t>(interrupts_);
-  });
-  // Crossing-vs-op split (batched submission makes them diverge: one
-  // crossing services a whole flushed ring) plus the flush shape and the
-  // policy-verdict fast-path cache health. kernel.crossings mirrors
-  // kernel.syscalls under its modern name.
-  metrics_.callback_gauge("kernel.crossings", [this] {
-    return static_cast<std::int64_t>(syscalls_);
-  });
-  metrics_.callback_gauge("kernel.ops_serviced", [this] {
-    return static_cast<std::int64_t>(ops_serviced_);
-  });
-  metrics_.callback_gauge("kernel.batch.flushes", [this] {
-    return static_cast<std::int64_t>(batch_flushes_);
-  });
-  metrics_.callback_gauge("kernel.batch.flushed_ops", [this] {
-    return static_cast<std::int64_t>(batch_flushed_ops_);
-  });
-  metrics_.callback_gauge("kernel.batch.max_wrs", [this] {
-    return static_cast<std::int64_t>(batch_max_wrs_);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.hits", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().hits);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.misses", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().misses);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.insertions", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().insertions);
-  });
-  metrics_.callback_gauge("kernel.policy_epoch", [this] {
-    return static_cast<std::int64_t>(policies_.epoch());
-  });
-  // This host's engine-queue health, surfaced through proc_read("metrics")
-  // alongside the kernel counters: live depth and high-water mark.
-  metrics_.callback_gauge("engine.queue_depth", [this] {
-    return static_cast<std::int64_t>(engine_->pending_events());
-  });
-  metrics_.callback_gauge("engine.queue_peak_depth", [this] {
-    return static_cast<std::int64_t>(engine_->queue_peak_depth());
-  });
-  // This host's NIC doorbell/burst pipeline, mirrored the same way: how
-  // many doorbells rang, how many posts they absorbed, and how the fused
-  // SoA drain is batching WQE work (see nic::NicCounters).
-  metrics_.callback_gauge("nic.doorbells", [this] {
-    return static_cast<std::int64_t>(nic_->counters().doorbells);
-  });
-  metrics_.callback_gauge("nic.doorbells_coalesced", [this] {
-    return static_cast<std::int64_t>(nic_->counters().doorbells_coalesced);
-  });
-  metrics_.callback_gauge("nic.sq_bursts", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_bursts);
-  });
-  metrics_.callback_gauge("nic.sq_burst_wrs", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_burst_wrs);
-  });
-  metrics_.callback_gauge("nic.sq_fused_batches", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_fused_batches);
-  });
-  metrics_.callback_gauge("nic.seg_msgs", [this] {
-    return static_cast<std::int64_t>(nic_->counters().seg_msgs);
-  });
-  metrics_.callback_gauge("nic.seg_chunks", [this] {
-    return static_cast<std::int64_t>(nic_->counters().seg_chunks);
-  });
-  // On-NIC context-cache health (ICM model, nic/icm.hpp). All zero while
-  // the cache is unbounded (the default); under a bounded configuration
-  // the miss/eviction rates are the first thing to read when a host's
-  // latency climbs with its connection count.
-  metrics_.callback_gauge("nic.icm.qp_hits", [this] {
-    return static_cast<std::int64_t>(nic_->icm_qp_cache().stats().hits);
-  });
-  metrics_.callback_gauge("nic.icm.qp_misses", [this] {
-    return static_cast<std::int64_t>(nic_->icm_qp_cache().stats().misses);
-  });
-  metrics_.callback_gauge("nic.icm.qp_evictions", [this] {
-    return static_cast<std::int64_t>(nic_->icm_qp_cache().stats().evictions);
-  });
-  metrics_.callback_gauge("nic.icm.mr_hits", [this] {
-    return static_cast<std::int64_t>(nic_->icm_mr_cache().stats().hits);
-  });
-  metrics_.callback_gauge("nic.icm.mr_misses", [this] {
-    return static_cast<std::int64_t>(nic_->icm_mr_cache().stats().misses);
-  });
-  metrics_.callback_gauge("nic.icm.mr_evictions", [this] {
-    return static_cast<std::int64_t>(nic_->icm_mr_cache().stats().evictions);
-  });
-  // Tail-latency watchdog firings (causal layer). The refresh happens at
-  // read time, so an armed-but-unread watchdog still costs nothing on the
-  // data path.
-  metrics_.callback_gauge("kernel.watchdog_violations", [this] {
-    refresh_causal();
-    return static_cast<std::int64_t>(causal_.watchdog_violations());
-  });
+  for (const Row& row : metric_table()) {
+    if (row.read == nullptr) continue;  // created lazily, labelled
+    metrics_.callback_gauge(row.name, [this, read = row.read] {
+      return static_cast<std::int64_t>(read(*this));
+    });
+  }
 }
 
 void Kernel::refresh_causal() const {
@@ -137,13 +200,13 @@ const Kernel::TenantMetrics& Kernel::tenant_metrics(TenantId tenant) {
   }
   TenantMetrics& tm = tenant_metrics_[tenant];
   if (tm.post_sends == nullptr) {
-    tm.post_sends = &metrics_.counter("kernel.tenant.post_sends", tenant);
-    tm.post_recvs = &metrics_.counter("kernel.tenant.post_recvs", tenant);
-    tm.polls = &metrics_.counter("kernel.tenant.polls", tenant);
-    tm.tx_bytes = &metrics_.counter("kernel.tenant.tx_bytes", tenant);
-    tm.completions = &metrics_.counter("kernel.tenant.completions", tenant);
-    tm.crossings = &metrics_.counter("kernel.tenant.crossings", tenant);
-    tm.syscall_ns = &metrics_.histogram("kernel.tenant.syscall_ns", tenant);
+    tm.post_sends = &metrics_.counter(kTenantPostSends.name, tenant);
+    tm.post_recvs = &metrics_.counter(kTenantPostRecvs.name, tenant);
+    tm.polls = &metrics_.counter(kTenantPolls.name, tenant);
+    tm.tx_bytes = &metrics_.counter(kTenantTxBytes.name, tenant);
+    tm.completions = &metrics_.counter(kTenantCompletions.name, tenant);
+    tm.crossings = &metrics_.counter(kTenantCrossings.name, tenant);
+    tm.syscall_ns = &metrics_.histogram(kTenantSyscallNs.name, tenant);
   }
   return tm;
 }
@@ -531,12 +594,12 @@ namespace {
 void append_tenant_line(std::string& out, const trace::MetricsRegistry& m,
                         std::uint32_t t) {
   char buf[256];
-  const auto cv = [&](const char* name) -> std::uint64_t {
-    const trace::Counter* c = m.find_counter(name, t);
+  const auto cv = [&](const Row& row) -> std::uint64_t {
+    const trace::Counter* c = m.find_counter(row.name, t);
     return c == nullptr ? 0 : c->value;
   };
   std::uint64_t p50 = 0, p99 = 0;
-  if (const sim::LogHistogram* h = m.find_histogram("kernel.tenant.syscall_ns", t)) {
+  if (const sim::LogHistogram* h = m.find_histogram(kTenantSyscallNs.name, t)) {
     p50 = static_cast<std::uint64_t>(h->percentile(50.0));
     p99 = static_cast<std::uint64_t>(h->percentile(99.0));
   }
@@ -544,9 +607,8 @@ void append_tenant_line(std::string& out, const trace::MetricsRegistry& m,
                 "tenant %" PRIu32 " post_sends=%" PRIu64 " post_recvs=%" PRIu64
                 " polls=%" PRIu64 " tx_bytes=%" PRIu64 " completions=%" PRIu64
                 " syscall_p50_ns=%" PRIu64 " syscall_p99_ns=%" PRIu64 "\n",
-                t, cv("kernel.tenant.post_sends"), cv("kernel.tenant.post_recvs"),
-                cv("kernel.tenant.polls"), cv("kernel.tenant.tx_bytes"),
-                cv("kernel.tenant.completions"), p50, p99);
+                t, cv(kTenantPostSends), cv(kTenantPostRecvs), cv(kTenantPolls),
+                cv(kTenantTxBytes), cv(kTenantCompletions), p50, p99);
   out += buf;
 }
 
@@ -571,7 +633,7 @@ std::string Kernel::proc_read(std::string_view path) const {
   }
   if (path == "tenants") {
     std::string out;
-    for (std::uint32_t t : metrics_.labels("kernel.tenant.post_sends")) {
+    for (std::uint32_t t : metrics_.labels(kTenantPostSends.name)) {
       append_tenant_line(out, metrics_, t);
     }
     return out;
@@ -580,7 +642,7 @@ std::string Kernel::proc_read(std::string_view path) const {
   if (path.size() > kTenant.size() && path.substr(0, kTenant.size()) == kTenant) {
     const std::uint32_t t =
         static_cast<std::uint32_t>(std::atoi(std::string(path.substr(kTenant.size())).c_str()));
-    if (metrics_.find_counter("kernel.tenant.post_sends", t) == nullptr) return {};
+    if (metrics_.find_counter(kTenantPostSends.name, t) == nullptr) return {};
     std::string out;
     append_tenant_line(out, metrics_, t);
     return out;

@@ -142,6 +142,12 @@ class Kernel {
   /// so the per-tenant metrics simply never appear.
   trace::MetricsRegistry& metrics() { return metrics_; }
   const trace::MetricsRegistry& metrics() const { return metrics_; }
+  /// The metric table: one row per metric a kernel registry can hold
+  /// (kernel.*, nic.*, engine.queue_*, and the lazily created per-tenant
+  /// kernel.tenant.* and policy.* metrics). The constructor registers
+  /// every row that has an accessor as a live gauge; core::System builds
+  /// its system-wide view from the same rows.
+  static std::span<const trace::MetricRow<Kernel>> metric_table();
 
   /// /proc-style query interface. Supported paths:
   ///   "metrics"          full registry dump (one metric per line)

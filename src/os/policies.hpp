@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,20 @@
 #include "trace/metrics.hpp"
 
 namespace cord::os {
+
+/// Names of the per-tenant counters the policies below mirror into a
+/// registry (label = tenant). Their units and docs are rows of
+/// Kernel::metric_table().
+namespace policy_metric {
+inline constexpr std::string_view kOpRateDenied = "policy.oprate.denied";
+inline constexpr std::string_view kRegDenied = "policy.reg.denied";
+inline constexpr std::string_view kPostSends = "policy.stats.post_sends";
+inline constexpr std::string_view kBytes = "policy.stats.bytes";
+inline constexpr std::string_view kPostRecvs = "policy.stats.post_recvs";
+inline constexpr std::string_view kPolls = "policy.stats.polls";
+inline constexpr std::string_view kRegMrs = "policy.stats.reg_mrs";
+inline constexpr std::string_view kDeregMrs = "policy.stats.dereg_mrs";
+}  // namespace policy_metric
 
 /// Per-tenant token bucket on posted send bytes.
 /// In shaping mode the verdict carries a pacing delay; in policing mode
@@ -277,7 +292,7 @@ class OpRateQuota final : public Policy {
     if (b.tokens < 1.0) {
       ++denied_;
       if (registry_ != nullptr) {
-        registry_->counter("policy.oprate.denied", op.tenant).add();
+        registry_->counter(policy_metric::kOpRateDenied, op.tenant).add();
       }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
@@ -368,7 +383,7 @@ class RegistrationQuota final : public Policy {
     if (b.live >= cap) {
       ++denied_;
       if (registry_ != nullptr) {
-        registry_->counter("policy.reg.denied", op.tenant).add();
+        registry_->counter(policy_metric::kRegDenied, op.tenant).add();
       }
       return {.allow = false, .error = -12 /*ENOMEM*/, .cpu_cost = kCheckCost};
     }
@@ -383,7 +398,7 @@ class RegistrationQuota final : public Policy {
     if (b.tokens < 1.0) {
       ++denied_;
       if (registry_ != nullptr) {
-        registry_->counter("policy.reg.denied", op.tenant).add();
+        registry_->counter(policy_metric::kRegDenied, op.tenant).add();
       }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
@@ -497,32 +512,32 @@ class StatsCollector final : public Policy {
         ++s.post_sends;
         s.bytes += op.bytes;
         if (registry_ != nullptr) {
-          registry_->counter("policy.stats.post_sends", op.tenant).add();
-          registry_->counter("policy.stats.bytes", op.tenant).add(op.bytes);
+          registry_->counter(policy_metric::kPostSends, op.tenant).add();
+          registry_->counter(policy_metric::kBytes, op.tenant).add(op.bytes);
         }
         break;
       case DataplaneOp::Kind::kPostRecv:
         ++s.post_recvs;
         if (registry_ != nullptr) {
-          registry_->counter("policy.stats.post_recvs", op.tenant).add();
+          registry_->counter(policy_metric::kPostRecvs, op.tenant).add();
         }
         break;
       case DataplaneOp::Kind::kPollCq:
         ++s.polls;
         if (registry_ != nullptr) {
-          registry_->counter("policy.stats.polls", op.tenant).add();
+          registry_->counter(policy_metric::kPolls, op.tenant).add();
         }
         break;
       case DataplaneOp::Kind::kRegMr:
         ++s.reg_mrs;
         if (registry_ != nullptr) {
-          registry_->counter("policy.stats.reg_mrs", op.tenant).add();
+          registry_->counter(policy_metric::kRegMrs, op.tenant).add();
         }
         break;
       case DataplaneOp::Kind::kDeregMr:
         ++s.dereg_mrs;
         if (registry_ != nullptr) {
-          registry_->counter("policy.stats.dereg_mrs", op.tenant).add();
+          registry_->counter(policy_metric::kDeregMrs, op.tenant).add();
         }
         break;
     }

@@ -9,7 +9,7 @@ void notify_root_done(Engine& engine, std::uint64_t root_id) noexcept {
 }  // namespace detail
 
 std::vector<Engine::Slab>& Engine::slab_cache() {
-  thread_local std::vector<Slab> cache;
+  static std::vector<Slab> cache;
   return cache;
 }
 
@@ -53,7 +53,7 @@ Engine::~Engine() {
   };
   for (const Item& item : heap_.heap_items()) clear_parked(item);
   if (heap_.has_cached()) clear_parked(heap_.cached());
-  // Retire slabs (now guaranteed all-empty) to the thread-local cache
+  // Retire slabs (now guaranteed all-empty) to the process-wide cache
   // instead of freeing them; see slab_cache().
   auto& cache = slab_cache();
   std::size_t cached = 0;

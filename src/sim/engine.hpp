@@ -172,7 +172,7 @@ class Engine {
 
   /// Pooled parking space for one scheduled callback. Slots live in
   /// fixed-size slabs (stable addresses) and recycle via freelist; retired
-  /// slabs are cached per-thread across engine instances.
+  /// slabs are cached across engine instances.
   struct FnSlot {
     InlineFn fn;
     FnSlot* next_free = nullptr;
@@ -316,7 +316,7 @@ class Engine {
     std::size_t count = 0;
   };
 
-  /// Thread-local cache of retired slabs. The simulator is single-threaded
+  /// Process-wide cache of retired slabs. The simulator is single-threaded
   /// by design, and tests/benches construct thousands of short-lived
   /// engines; recycling slabs avoids a malloc/free pair per slab per
   /// engine — and, more importantly, stops glibc from trimming the freed
@@ -366,7 +366,7 @@ class Engine {
   // below glibc's 128 KiB mmap threshold (an over-threshold slab would be
   // served by mmap/munmap plus fresh page faults on every allocation).
   static constexpr std::size_t kMaxSlabSlots = 512;
-  // Upper bound on slots parked in the thread-local slab cache (~1 MiB).
+  // Upper bound on slots parked in the slab cache (~1 MiB).
   static constexpr std::size_t kMaxCachedSlots = 8192;
 
   EventHeap heap_;

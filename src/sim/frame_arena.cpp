@@ -26,14 +26,15 @@ struct FreeBlock {
   FreeBlock* next;
 };
 
-// Trivially destructible, so the thread_local needs no init guard and is
-// never torn down: frames freed during static destruction still find it.
-struct ThreadCache {
+// Trivially destructible and constant-initialized, so the function static
+// needs no init guard and is never torn down: frames freed during static
+// destruction still find it.
+struct Cache {
   FreeBlock* free_[kClasses] = {};
   std::byte* bump = nullptr;
   std::byte* bump_end = nullptr;
-  // Every slab this thread carved; deliberately never freed, so a block
-  // cannot outlive its slab.
+  // Every slab carved so far; deliberately never freed, so a block cannot
+  // outlive its slab.
   std::vector<std::unique_ptr<std::byte[]>>* slabs = nullptr;
   FrameArenaStats stats;
 
@@ -53,17 +54,17 @@ struct ThreadCache {
   }
 };
 
-static_assert(std::is_trivially_destructible_v<ThreadCache>);
+static_assert(std::is_trivially_destructible_v<Cache>);
 
-ThreadCache& cache() {
-  thread_local ThreadCache tc;
-  return tc;
+Cache& cache() {
+  static Cache c;
+  return c;
 }
 
 }  // namespace
 
 void* frame_alloc(std::size_t n) {
-  ThreadCache& tc = cache();
+  Cache& tc = cache();
   ++tc.stats.allocs;
   if (n > kMaxBlock) [[unlikely]] {
     ++tc.stats.fallback_allocs;
@@ -82,7 +83,7 @@ void frame_free(void* p, std::size_t n) noexcept {
     ::operator delete(p);
     return;
   }
-  ThreadCache& tc = cache();
+  Cache& tc = cache();
   const std::size_t c = class_of(n);
   auto* b = static_cast<FreeBlock*>(p);
   b->next = tc.free_[c];

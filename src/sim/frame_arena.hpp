@@ -2,17 +2,16 @@
 //
 // Every Task<T> coroutine frame allocates through here (class-scope
 // operator new on the task promise), replacing the per-spawn malloc/free
-// pair with a thread-cached, size-classed freelist carved out of 64 KiB
+// pair with a cached, size-classed freelist carved out of 64 KiB
 // slabs — the same slab discipline the engine uses for InlineFn slots.
 // Spawn-heavy workloads (one frame per simulated request) recycle frames
 // at freelist cost and never touch the global allocator in steady state.
 //
-// Threading: the simulator runs on one thread, and each thread gets its
-// own cache with no synchronization. The cache owns its slabs and never
-// frees them, so a block never outlives its slab, even when a frame is
-// freed during static destruction. A thread that exits strands its slabs
-// and freelists until process exit; nothing in the simulator starts
-// threads, so nothing is shared or handed back.
+// Threading: none. The simulator runs on one thread, so the arena is one
+// process-wide cache with no synchronization. The cache owns its slabs
+// and never frees them, so a block never outlives its slab, even when a
+// frame is freed during static destruction. Calling frame_alloc or
+// frame_free from a second thread is a data race.
 #pragma once
 
 #include <cstddef>
@@ -24,12 +23,10 @@ void* frame_alloc(std::size_t n);
 /// Return a block obtained from frame_alloc (same `n`).
 void frame_free(void* p, std::size_t n) noexcept;
 
-/// Introspection for tests: total blocks carved from slabs by this thread
-/// minus blocks currently parked on its freelists — i.e. live frames, as
-/// seen by this thread's cache (cross-thread frees skew it negative).
+/// Introspection for tests: the arena's lifetime allocation counters.
 struct FrameArenaStats {
-  std::size_t slab_bytes = 0;    ///< bytes reserved in slabs (this thread)
-  std::size_t allocs = 0;        ///< frame_alloc calls (this thread)
+  std::size_t slab_bytes = 0;    ///< bytes reserved in slabs
+  std::size_t allocs = 0;        ///< frame_alloc calls
   std::size_t slab_carves = 0;   ///< allocs that had to carve fresh slab space
   std::size_t fallback_allocs = 0;  ///< oversized frames sent to operator new
 };

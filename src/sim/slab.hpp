@@ -1,7 +1,7 @@
 // Slab-backed object storage for simulator object tables.
 //
 // The frame arena (sim/frame_arena) already gives every coroutine frame
-// thread-cached, size-classed storage carved from 64 KiB slabs. This
+// cached, size-classed storage carved from 64 KiB slabs. This
 // header extends the same discipline to plain objects: `make_slab<T>()`
 // placement-constructs T in an arena block and returns a unique_ptr whose
 // deleter returns the block to the arena freelist. Tables that used to
@@ -10,9 +10,9 @@
 // land adjacent in the same slab — which is what makes a burst drain walk
 // contiguous memory instead of malloc's scattered chunks.
 //
-// Threading follows the arena's contract: allocation and free may happen
-// on different threads; blocks never outlive their slab because slabs are
-// only reclaimed at process exit.
+// Threading follows the arena's contract (single thread only); blocks
+// never outlive their slab because slabs are only reclaimed at process
+// exit.
 #pragma once
 
 #include <cstddef>

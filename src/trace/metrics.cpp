@@ -8,7 +8,7 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
                                                        std::uint32_t label,
                                                        Kind kind) {
   // Transparent lookup first (no string copy on the re-registration path).
-  const auto it = entries_.find(Key{std::string(name), label});
+  const auto it = entries_.find(KeyView{name, label});
   if (it != entries_.end()) {
     if (it->second.kind != kind) {
       throw std::logic_error("metric '" + std::string(name) +
@@ -16,15 +16,19 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
     }
     return it->second;
   }
-  Entry& e = entries_[Key{std::string(name), label}];
+  Entry& e =
+      entries_.emplace(Key{std::string(name), label}, Entry{}).first->second;
   e.kind = kind;
+  if (kind == Kind::kHistogram) {
+    e.histogram = std::make_unique<sim::LogHistogram>();
+  }
   return e;
 }
 
 const MetricsRegistry::Entry* MetricsRegistry::find(std::string_view name,
                                                     std::uint32_t label,
                                                     Kind kind) const {
-  const auto it = entries_.find(Key{std::string(name), label});
+  const auto it = entries_.find(KeyView{name, label});
   if (it == entries_.end() || it->second.kind != kind) return nullptr;
   return &it->second;
 }
@@ -39,7 +43,7 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::uint32_t label) {
 
 sim::LogHistogram& MetricsRegistry::histogram(std::string_view name,
                                               std::uint32_t label) {
-  return get_or_create(name, label, Kind::kHistogram).histogram;
+  return *get_or_create(name, label, Kind::kHistogram).histogram;
 }
 
 void MetricsRegistry::callback_gauge(std::string_view name,
@@ -63,7 +67,7 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name,
 const sim::LogHistogram* MetricsRegistry::find_histogram(
     std::string_view name, std::uint32_t label) const {
   const Entry* e = find(name, label, Kind::kHistogram);
-  return e == nullptr ? nullptr : &e->histogram;
+  return e == nullptr ? nullptr : e->histogram.get();
 }
 
 std::int64_t MetricsRegistry::gauge_value(std::string_view name,
@@ -120,7 +124,7 @@ void MetricsRegistry::write_csv(std::FILE* f) const {
         break;
       }
       case Kind::kHistogram: {
-        const sim::LogHistogram& h = e.histogram;
+        const sim::LogHistogram& h = *e.histogram;
         std::fprintf(f, "%s,%s,histogram,%llu,%llu,%.1f,%.1f,%.1f,%llu\n",
                      key.name.c_str(), label,
                      static_cast<unsigned long long>(h.count()),
@@ -154,7 +158,7 @@ std::string MetricsRegistry::text() const {
         break;
       }
       case Kind::kHistogram: {
-        const sim::LogHistogram& h = e.histogram;
+        const sim::LogHistogram& h = *e.histogram;
         std::snprintf(line, sizeof(line),
                       "%s%s count=%llu mean=%.1f p50=%.1f p99=%.1f max=%llu\n",
                       key.name.c_str(), label,

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,28 @@ struct Counter {
 struct Gauge {
   std::int64_t value = 0;
   void set(std::int64_t v) { value = v; }
+};
+
+/// How System's registry folds one per-host (Kernel) metric across hosts.
+enum class Combine : std::uint8_t {
+  kSum,         ///< total over hosts
+  kMax,         ///< largest host value
+  kEngineWide,  ///< every host reads the one shared engine: read it once
+  kHostOnly,    ///< per host only; absent from the system view
+};
+
+/// One row of a metric table — the single definition of a metric: its
+/// name, unit, one-line doc, how to read it from a `Source` and how the
+/// system view combines it (Kernel rows only). A row without `read`
+/// names a metric the code creates lazily through counter()/histogram()
+/// (the per-tenant labelled ones); its call sites use the row's name.
+template <class Source>
+struct MetricRow {
+  std::string_view name;
+  std::string_view unit;
+  std::string_view doc;
+  std::uint64_t (*read)(const Source&) = nullptr;
+  Combine combine = Combine::kHostOnly;
 };
 
 class MetricsRegistry {
@@ -83,9 +106,19 @@ class MetricsRegistry {
   struct Key {
     std::string name;
     std::uint32_t label;
-    bool operator<(const Key& o) const {
-      const int c = name.compare(o.name);
-      return c != 0 ? c < 0 : label < o.label;
+  };
+  struct KeyView {
+    std::string_view name;
+    std::uint32_t label;
+  };
+  /// (name, label) order. Transparent, so lookups by KeyView build no
+  /// std::string (names past the small-string limit would allocate).
+  struct KeyLess {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      const int c = std::string_view(a.name).compare(b.name);
+      return c != 0 ? c < 0 : a.label < b.label;
     }
   };
 
@@ -94,14 +127,16 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     std::function<std::int64_t()> callback;
-    sim::LogHistogram histogram;
+    // Out of line: a LogHistogram is ~550 bytes, and most entries are
+    // counters or gauges.
+    std::unique_ptr<sim::LogHistogram> histogram;
   };
 
   Entry& get_or_create(std::string_view name, std::uint32_t label, Kind kind);
   const Entry* find(std::string_view name, std::uint32_t label,
                     Kind kind) const;
 
-  std::map<Key, Entry> entries_;
+  std::map<Key, Entry, KeyLess> entries_;
 };
 
 }  // namespace cord::trace

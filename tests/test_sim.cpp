@@ -1,12 +1,11 @@
 // Unit tests for the discrete-event simulation core: engine ordering,
-// coroutine task composition, latches/signals/channels, FIFO resources,
+// coroutine task composition, latches/signals, FIFO resources,
 // RNG determinism, statistics, and the coroutine frame arena.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/frame_arena.hpp"
@@ -232,22 +231,6 @@ TEST(Signal, EachTriggerReleasesCurrentWaiters) {
   e.call_at(ns(20), [&] { sig.trigger(); });
   e.run();
   EXPECT_EQ(wakes, 2);
-}
-
-TEST(Channel, FifoDeliveryAndSuspendingRecv) {
-  Engine e;
-  Channel<int> ch(e);
-  std::vector<int> got;
-  e.spawn([](Channel<int>& ch, std::vector<int>& got) -> Task<> {
-    for (int i = 0; i < 3; ++i) got.push_back(co_await ch.recv());
-  }(ch, got));
-  e.call_at(ns(10), [&] { ch.send(1); });
-  e.call_at(ns(20), [&] {
-    ch.send(2);
-    ch.send(3);
-  });
-  e.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Resource, SerializesOverlappingRequests) {

@@ -5,16 +5,20 @@
 
 #include <cstring>
 #include <map>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/system.hpp"
+#include "os/policies.hpp"
 #include "perftest/perftest.hpp"
 #include "sim/stats.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -522,14 +526,305 @@ TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {
   // did all the sending, host 1 none.
   os::Kernel& k0 = sys.host(0).kernel();
   const std::string dump = k0.proc_read("metrics");
-  for (const char* name :
-       {"nic.doorbells", "nic.doorbells_coalesced", "nic.sq_bursts",
-        "nic.sq_burst_wrs", "nic.sq_fused_batches", "nic.seg_msgs",
-        "nic.seg_chunks"}) {
-    EXPECT_NE(dump.find(name), std::string::npos) << name;
+  int nic_rows = 0;
+  for (const auto& row : os::Kernel::metric_table()) {
+    if (!row.name.starts_with("nic.")) continue;
+    ++nic_rows;
+    EXPECT_NE(dump.find(row.name), std::string::npos) << row.name;
   }
+  EXPECT_EQ(nic_rows, 13);
   EXPECT_EQ(k0.metrics().gauge_value("nic.sq_burst_wrs"), 10);
   EXPECT_EQ(sys.host(1).kernel().metrics().gauge_value("nic.sq_burst_wrs"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The metric table: one scenario that drives every row
+// ---------------------------------------------------------------------------
+
+/// Host 0 (tenant 5, CoRD, tx_batch 4) writes 8 KiB messages to host 1
+/// over two RC QPs from two source MRs, so the one-entry ICM caches
+/// thrash; registers past its RegistrationQuota cap, deregisters an MR,
+/// gets a receive post denied by its OpRateQuota, and waits for its last
+/// completion by interrupt. No gtest macros inside (coroutine).
+sim::Task<> metric_scenario(core::System& sys, int& failures) {
+  verbs::ContextOptions opts = sys.options(verbs::DataplaneMode::kCord, 5);
+  opts.tx_batch = 4;
+  verbs::Context a(sys.host(0), 0, opts);
+  verbs::Context b(sys.host(1), 0,
+                   sys.options(verbs::DataplaneMode::kCord, 5));
+  const cord::testing::RcEndpoints e[2] = {
+      co_await cord::testing::connect_rc(a, b),
+      co_await cord::testing::connect_rc(a, b)};
+
+  std::vector<std::byte> src(2 * 8192, std::byte{0x11}), dst(2 * 8192);
+  std::vector<std::byte> scratch(256);
+  const nic::MemoryRegion* smr[2];
+  const nic::MemoryRegion* rmr[2];
+  for (int q = 0; q < 2; ++q) {
+    smr[q] = co_await a.reg_mr(e[q].pd0, src.data() + q * 8192, 8192, 0);
+    rmr[q] = co_await b.reg_mr(e[q].pd1, dst.data() + q * 8192, 8192,
+                               nic::kAccessLocalWrite | nic::kAccessRemoteWrite);
+    if (smr[q] == nullptr || rmr[q] == nullptr) ++failures;
+  }
+  // Third registration fits the quota (cap 3) and is deregistered; the
+  // fourth is denied.
+  const auto* extra = co_await a.reg_mr(e[0].pd0, scratch.data(), 128,
+                                        nic::kAccessLocalWrite);
+  if (extra == nullptr) ++failures;
+  if (co_await a.reg_mr(e[0].pd0, scratch.data() + 128, 128, 0) != nullptr) {
+    ++failures;
+  }
+  // Receive posts: the op-rate quota (burst 2) denies the third.
+  int denied = 0;
+  for (int i = 0; i < 3; ++i) {
+    const int rc = co_await a.post_recv(
+        *e[0].qp0,
+        {1, {cord::testing::uptr(scratch.data()), 64, extra->lkey}});
+    if (rc != 0) ++denied;
+  }
+  if (denied != 1) ++failures;
+  if (!co_await a.dereg_mr(extra->lkey)) ++failures;
+
+  // Two rounds of four writes per QP: each full ring flushes in one
+  // crossing, and alternating QPs/MRs misses the one-entry ICM caches.
+  for (int round = 0; round < 2; ++round) {
+    for (int q = 0; q < 2; ++q) {
+      for (int i = 0; i < 4; ++i) {
+        nic::SendWr wr;
+        wr.wr_id = static_cast<std::uint64_t>(round * 8 + q * 4 + i);
+        wr.opcode = nic::Opcode::kRdmaWrite;
+        wr.sge = {cord::testing::uptr(src.data() + q * 8192), 8192,
+                  smr[q]->lkey};
+        wr.remote_addr = cord::testing::uptr(dst.data() + q * 8192);
+        wr.rkey = rmr[q]->rkey;
+        if (co_await a.post_send(*e[q].qp0, wr) != 0) ++failures;
+      }
+    }
+  }
+  if (co_await a.flush_all() != 0) ++failures;
+  for (int q = 0; q < 2; ++q) {
+    for (int i = 0; i < 8; ++i) {
+      const nic::Cqe wc = co_await a.wait_one(*e[q].scq0);
+      if (wc.status != nic::WcStatus::kSuccess) ++failures;
+    }
+  }
+  // Two more writes on the first QP: the second doorbell finds its QP
+  // context cached, and its completion is harvested by interrupt.
+  for (int i = 0; i < 2; ++i) {
+    nic::SendWr wr;
+    wr.wr_id = 100 + static_cast<std::uint64_t>(i);
+    wr.opcode = nic::Opcode::kRdmaWrite;
+    wr.sge = {cord::testing::uptr(src.data()), 64, smr[0]->lkey};
+    wr.remote_addr = cord::testing::uptr(dst.data());
+    wr.rkey = rmr[0]->rkey;
+    if (co_await a.post_send(*e[0].qp0, wr) != 0) ++failures;
+    if (co_await a.flush(*e[0].qp0) != 0) ++failures;
+    const nic::Cqe wc = i == 0 ? co_await a.wait_one(*e[0].scq0)
+                               : co_await a.wait_one_event(*e[0].scq0);
+    if (wc.status != nic::WcStatus::kSuccess) ++failures;
+  }
+}
+
+/// Build the 2-host System L, configure host 0's policies, SLOs and the
+/// bounded ICM, run metric_scenario to completion and build the system
+/// causal aggregate.
+std::unique_ptr<core::System> run_metric_scenario() {
+  core::SystemConfig cfg = core::system_l();
+  cfg.nic.icm_qp_capacity = 1;
+  cfg.nic.icm_mr_capacity = 1;
+  auto sys = std::make_unique<core::System>(cfg, 2);
+  os::Kernel& k0 = sys->host(0).kernel();
+  k0.policies().install(std::make_unique<os::StatsCollector>(k0.metrics()));
+  k0.policies().install(std::make_unique<os::OpRateQuota>(
+      1.0, 2, os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPostRecv),
+      k0.metrics()));
+  k0.policies().install(
+      std::make_unique<os::RegistrationQuota>(3, 1e9, 100, k0.metrics()));
+  // Unmeetable 1 ps SLOs: every traced span violates.
+  k0.set_latency_slo(5, 99.0, 1);
+  sys->causal().set_slo(5, {99.0, 1});
+  sys->set_tracing(true);
+  int failures = 0;
+  sys->engine().spawn(metric_scenario(*sys, failures));
+  sys->engine().run();
+  EXPECT_EQ(failures, 0);
+  sys->analyze_causal();
+  return sys;
+}
+
+/// The scenario's per-host /proc metrics dumps and system gauges, as the
+/// hand-written registrations produced them before the metric table
+/// (less the dropped kernel.crossings alias of kernel.syscalls).
+constexpr const char* kHost0Dump = R"(engine.queue_depth 0
+engine.queue_peak_depth 17
+kernel.batch.flushed_ops 18
+kernel.batch.flushes 6
+kernel.batch.max_wrs 4
+kernel.interrupts 1
+kernel.ops_serviced 86
+kernel.policy_epoch 4
+kernel.syscalls 74
+kernel.tenant.completions{tenant=5} 18
+kernel.tenant.crossings{tenant=5} 54
+kernel.tenant.polls{tenant=5} 45
+kernel.tenant.post_recvs{tenant=5} 3
+kernel.tenant.post_sends{tenant=5} 18
+kernel.tenant.syscall_ns{tenant=5} count=54 mean=387.1 p50=391.7 p99=828.2 max=886
+kernel.tenant.tx_bytes{tenant=5} 131200
+kernel.verdict_cache.hits 16
+kernel.verdict_cache.insertions 2
+kernel.verdict_cache.misses 2
+kernel.watchdog_violations 18
+nic.doorbells 6
+nic.doorbells_coalesced 12
+nic.icm.mr_evictions 4
+nic.icm.mr_hits 13
+nic.icm.mr_misses 5
+nic.icm.qp_evictions 4
+nic.icm.qp_hits 1
+nic.icm.qp_misses 5
+nic.seg_chunks 34
+nic.seg_msgs 18
+nic.sq_burst_wrs 18
+nic.sq_bursts 6
+nic.sq_fused_batches 6
+policy.oprate.denied{tenant=5} 1
+policy.reg.denied{tenant=5} 1
+policy.stats.bytes{tenant=5} 131200
+policy.stats.dereg_mrs{tenant=5} 1
+policy.stats.polls{tenant=5} 45
+policy.stats.post_recvs{tenant=5} 3
+policy.stats.post_sends{tenant=5} 18
+policy.stats.reg_mrs{tenant=5} 4
+)";
+constexpr const char* kHost1Dump = R"(engine.queue_depth 0
+engine.queue_peak_depth 17
+kernel.batch.flushed_ops 0
+kernel.batch.flushes 0
+kernel.batch.max_wrs 0
+kernel.interrupts 0
+kernel.ops_serviced 16
+kernel.policy_epoch 1
+kernel.syscalls 16
+kernel.verdict_cache.hits 0
+kernel.verdict_cache.insertions 0
+kernel.verdict_cache.misses 0
+kernel.watchdog_violations 0
+nic.doorbells 0
+nic.doorbells_coalesced 0
+nic.icm.mr_evictions 0
+nic.icm.mr_hits 0
+nic.icm.mr_misses 0
+nic.icm.qp_evictions 0
+nic.icm.qp_hits 0
+nic.icm.qp_misses 0
+nic.seg_chunks 0
+nic.seg_msgs 0
+nic.sq_burst_wrs 0
+nic.sq_bursts 0
+nic.sq_fused_batches 0
+)";
+
+TEST(MetricTable, KernelDumpsUnchanged) {
+  auto sys = run_metric_scenario();
+  EXPECT_EQ(sys->host(0).kernel().proc_read("metrics"), kHost0Dump);
+  EXPECT_EQ(sys->host(1).kernel().proc_read("metrics"), kHost1Dump);
+  const std::pair<const char*, std::int64_t> system_gauges[] = {
+      {"causal.p99_e2e_ns", 11609},
+      {"causal.spans", 18},
+      {"causal.watchdog_violations", 18},
+      {"engine.clamped_events", 0},
+      {"engine.events_processed", 187},
+      {"engine.queue_peak_depth", 17},
+      {"nic.doorbells", 6},
+      {"nic.doorbells_coalesced", 12},
+      {"nic.seg_chunks", 34},
+      {"nic.seg_msgs", 18},
+      {"nic.sq_burst_wrs", 18},
+      {"nic.sq_bursts", 6},
+      {"nic.sq_fused_batches", 6}};
+  for (const auto& [name, value] : system_gauges) {
+    EXPECT_EQ(sys->metrics().gauge_value(name), value) << name;
+  }
+}
+
+/// Metric names in a registry dump (the text before the label or value).
+std::set<std::string> registry_names(const trace::MetricsRegistry& m) {
+  std::set<std::string> names;
+  std::istringstream in(m.text());
+  for (std::string line; std::getline(in, line);) {
+    names.insert(line.substr(0, line.find_first_of(" {")));
+  }
+  return names;
+}
+
+TEST(MetricTable, EveryRowHasUnitAndDoc) {
+  std::map<std::string, int> rows;
+  for (const auto& row : os::Kernel::metric_table()) {
+    EXPECT_FALSE(row.unit.empty()) << row.name;
+    EXPECT_FALSE(row.doc.empty()) << row.name;
+    // Only registered rows can be folded into the system view.
+    if (row.read == nullptr) {
+      EXPECT_EQ(row.combine, trace::Combine::kHostOnly) << row.name;
+    }
+    ++rows[std::string(row.name)];
+  }
+  for (const auto& row : core::System::metric_table()) {
+    EXPECT_FALSE(row.unit.empty()) << row.name;
+    EXPECT_FALSE(row.doc.empty()) << row.name;
+    EXPECT_NE(row.read, nullptr) << row.name;
+    ++rows[std::string(row.name)];
+  }
+  for (const auto& [name, count] : rows) EXPECT_EQ(count, 1) << name;
+
+  auto sys = run_metric_scenario();
+  std::set<std::string> seen = registry_names(sys->metrics());
+  for (int h = 0; h < 2; ++h) {
+    seen.merge(registry_names(sys->host(h).kernel().metrics()));
+  }
+  for (const std::string& name : seen) {
+    EXPECT_TRUE(rows.contains(name)) << name << " has no row";
+  }
+  // The scenario creates every lazily labelled metric too.
+  for (const auto& [name, count] : rows) {
+    EXPECT_TRUE(seen.contains(name)) << name << " never registered";
+  }
+}
+
+TEST(MetricTable, SystemViewCombinesHosts) {
+  auto sys = run_metric_scenario();
+  const trace::MetricsRegistry& view = sys->metrics();
+  const std::set<std::string> in_view = registry_names(view);
+  const trace::MetricsRegistry& h0 = sys->host(0).kernel().metrics();
+  const trace::MetricsRegistry& h1 = sys->host(1).kernel().metrics();
+  for (const auto& row : os::Kernel::metric_table()) {
+    SCOPED_TRACE(std::string(row.name));
+    const std::int64_t a = h0.gauge_value(row.name);
+    const std::int64_t b = h1.gauge_value(row.name);
+    switch (row.combine) {
+      case trace::Combine::kSum:
+        EXPECT_EQ(view.gauge_value(row.name), a + b);
+        break;
+      case trace::Combine::kMax:
+        EXPECT_EQ(view.gauge_value(row.name), std::max(a, b));
+        break;
+      case trace::Combine::kEngineWide:
+        EXPECT_EQ(view.gauge_value(row.name), a);
+        EXPECT_EQ(view.gauge_value(row.name), b);
+        break;
+      case trace::Combine::kHostOnly:
+        EXPECT_FALSE(in_view.contains(std::string(row.name)));
+        break;
+    }
+  }
+  // Engine-wide rows equal the engine's own value.
+  EXPECT_EQ(view.gauge_value("engine.queue_peak_depth"),
+            static_cast<std::int64_t>(sys->engine().queue_peak_depth()));
+  EXPECT_EQ(view.gauge_value("engine.queue_depth"),
+            static_cast<std::int64_t>(sys->engine().pending_events()));
+  // Non-trivial combination: both hosts crossed into their kernels.
+  EXPECT_GT(h0.gauge_value("kernel.syscalls"), 0);
+  EXPECT_GT(h1.gauge_value("kernel.syscalls"), 0);
 }
 
 }  // namespace
