@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "mpi/world.hpp"
 #include "nic/mr.hpp"
 #include "nic/nic.hpp"
 #include "nic/wr_pool.hpp"
@@ -372,6 +373,35 @@ void BM_SocketStream(benchmark::State& state) {
                           static_cast<std::int64_t>(kMessage));
 }
 BENCHMARK(BM_SocketStream);
+
+// An MPI rank waiting out a long idle stretch: 2 ranks over verbs
+// (bypass, System A), rank 0 computes for 500 ms and then sends one 64 B
+// eager message that rank 1 has been waiting for since the start. Each
+// iteration builds and runs a fresh World. A rank that steps through its
+// idle polls costs ~3 engine events per 20 us backoff round (~75,000 for
+// the wait); a parked one costs a handful. events_per_msg counts every
+// event of the run, setup included.
+void BM_MpiIdleWait(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    core::System sys(core::system_a(), 2);
+    mpi::World world(sys, 2, {.net = mpi::NetMode::kBypass});
+    const sim::Time t = world.run([](mpi::Rank& r) -> sim::Task<> {
+      std::vector<std::byte> buf(64);
+      if (r.id() == 0) {
+        co_await r.compute(sim::ms(500));
+        co_await r.send<std::byte>(1, 1, buf);
+      } else {
+        (void)co_await r.recv<std::byte>(0, 1, buf);
+      }
+    });
+    benchmark::DoNotOptimize(t);
+    events = sys.engine().events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["events_per_msg"] = static_cast<double>(events);
+}
+BENCHMARK(BM_MpiIdleWait);
 
 }  // namespace
 

@@ -112,7 +112,8 @@ endforeach()
 # --- 1b. hot-loop gate ------------------------------------------------------
 # The fused SoA burst pipeline (DESIGN.md §15) is gated through the
 # BM_NicEndToEndMessage + BM_NicBurst entries of the committed baseline,
-# and the IPoIB byte stream (DESIGN.md §10) through BM_SocketStream.
+# the IPoIB byte stream (DESIGN.md §10) through BM_SocketStream, and the
+# parked MPI idle wait (DESIGN.md §20) through BM_MpiIdleWait.
 # Section 1 already fails on >TOLERANCE% cpu_time regression for every
 # baseline entry; this block additionally fails if one of these is
 # missing from the BASELINE itself, so dropping the benchmarks (or
@@ -124,7 +125,8 @@ set(_hot_required
     "BM_NicBurst/burst:256/bytes:64/depth:256/min_time:1.000"
     "BM_NicBurst/burst:256/bytes:4096/depth:256/min_time:1.000"
     "BM_NicBurst/burst:16/bytes:65536/depth:64/min_time:1.000"
-    "BM_SocketStream")
+    "BM_SocketStream"
+    "BM_MpiIdleWait")
 foreach(_name ${_hot_required})
   string(MAKE_C_IDENTIFIER "${_name}" _id)
   if(NOT DEFINED BASE_${_id})

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "sim/frame_arena.hpp"
+
 namespace cord::mpi {
 
 sim::Task<std::size_t> Endpoint::recv(int src, int tag, std::span<std::byte> out) {
@@ -59,6 +61,78 @@ void Endpoint::deliver_eager(int src, int tag, std::span<const std::byte> payloa
   UnexpectedMsg msg{src, tag, {payload.begin(), payload.end()}};
   pending_copy_cost_ += core().memcpy_time(payload.size());
   unexpected_.push_back(std::move(msg));
+}
+
+sim::Task<bool> Endpoint::park_idle(IdleWait&, DoneFn) {
+  throw std::logic_error("Endpoint::park_idle: this endpoint does not park");
+  co_return false;
+}
+
+void Endpoint::IdleWait::push_queuer(Queuer q) {
+  if (tail_ == nullptr || tail_->count == Block::kSize) {
+    auto* b = static_cast<Block*>(sim::detail::frame_alloc(sizeof(Block)));
+    b->prev = tail_;
+    b->count = 0;
+    tail_ = b;
+  }
+  tail_->q[tail_->count++] = q;
+}
+
+void Endpoint::IdleWait::clear_chain() {
+  while (tail_ != nullptr) {
+    Block* prev = tail_->prev;
+    sim::detail::frame_free(tail_, sizeof(Block));
+    tail_ = prev;
+  }
+}
+
+int Endpoint::IdleWait::order(const sim::StepKey& other) const {
+  const auto* o = dynamic_cast<const IdleWait*>(&other);
+  if (o == nullptr) return 0;
+  // Both steps were queued at the same instant, each by its chain's
+  // queuer: they run in the order of those two dispatches. Dispatches
+  // that ran are in dispatch order; otherwise they ran in the order of
+  // their own queueing instants (the instants of the queuers below them),
+  // and of those queuers' order after that, down to the origins: ordinary
+  // dispatches, so in dispatch order too.
+  struct Cursor {
+    const Block* b;
+    std::uint32_t k;
+    const Queuer& get() const { return b->q[k]; }
+    bool down() {  // to the queuer below; false at the origin
+      if (k > 0) {
+        --k;
+        return true;
+      }
+      if (b->prev == nullptr) return false;
+      b = b->prev;
+      k = b->count - 1;
+      return true;
+    }
+  };
+  Cursor a{tail_, tail_->count - 1};
+  Cursor b{o->tail_, o->tail_->count - 1};
+  for (;;) {
+    if (a.get().index != 0 && b.get().index != 0) {
+      return a.get().index < b.get().index ? -1 : 1;
+    }
+    Cursor a_below = a;
+    Cursor b_below = b;
+    const bool more_a = a_below.down();
+    const bool more_b = b_below.down();
+    const sim::Time qa = more_a ? a_below.get().at : origin_queued;
+    const sim::Time qb = more_b ? b_below.get().at : o->origin_queued;
+    if (qa != qb) return qa < qb ? -1 : 1;
+    // One of them is an origin: queued by an ordinary event, whose order
+    // against a step that never ran is unknown.
+    if (!more_a || !more_b) break;
+    a = a_below;
+    b = b_below;
+  }
+  // Unknown: counted, which stops the run; a fixed order until then.
+  engine->count_undecided_tie();
+  return rank != o->rank ? (rank < o->rank ? -1 : 1)
+                         : (origin_queued < o->origin_queued ? -1 : 1);
 }
 
 Endpoint::PostedRecv* Endpoint::deliver_rts(PendingRts rts) {

@@ -10,11 +10,13 @@
 //    charged), rendezvous messages transfer zero-copy once matched.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "os/cpu.hpp"
@@ -43,32 +45,124 @@ class Endpoint {
   /// must always consume virtual time.
   virtual sim::Task<bool> progress_once() = 0;
 
-  /// Poll progress until `done()` holds, with exponential poll-coarsening
-  /// on idle stretches (amortizes simulation events; costs at most ~20 us
-  /// of detection latency on long waits) and a virtual-time deadline that
-  /// turns workload deadlocks into exceptions.
+  /// Poll progress until `done()` holds. After kSpinPolls idle passes in a
+  /// row, each idle pass adds a spin backoff of 25 ns per idle pass
+  /// (capped at 20 us): the modelled poll-coarsening of an MPI progress
+  /// engine, which costs at most ~20 us of detection latency on long
+  /// waits. A virtual-time deadline turns workload deadlocks into
+  /// exceptions. Endpoints that park when idle (parks_when_idle) run the
+  /// idle passes through park_idle, which charges them without simulating
+  /// them; the others step through every pass here.
   template <typename Pred>
   sim::Task<> progress_until(Pred&& done, const char* what) {
-    int idle = 0;
-    const sim::Time deadline = core().engine().now() + kProgressTimeout;
+    IdleWait wait(core().engine(), core().engine().now() + kProgressTimeout,
+                  what, rank());
     while (!done()) {
-      const bool any = co_await progress_once();
-      if (any) {
-        idle = 0;
+      if (co_await progress_in(wait)) {
+        wait.idle = 0;
         continue;
       }
-      if (++idle > 64) {
-        const sim::Time backoff =
-            std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
-        co_await core().work(backoff, os::Work::kSpin);
+      if (parks_when_idle()) {
+        if (co_await park_idle(wait, DoneFn(done))) wait.idle = 0;
+        continue;
       }
-      if (core().engine().now() > deadline) {
-        throw std::runtime_error(std::string("MPI progress timed out: ") + what);
+      if (++wait.idle > kSpinPolls) {
+        co_await core().work(backoff(wait.idle), os::Work::kSpin);
       }
+      wait.check_deadline(core().engine().now());
     }
   }
 
  protected:
+  /// The state of one progress_until wait. An endpoint that queues the
+  /// wait's poll steps as keyed steps (VerbsEndpoint) keeps their chain
+  /// here (sim::StepKey): the dispatches that queued each step, from the
+  /// ordinary dispatch that queued the first (the origin, whose own
+  /// queueing instant closes the chain) to the one that queued the next.
+  /// The chain lives in blocks from the coroutine-frame arena, so the
+  /// progress path adds no heap allocation and leaves where malloc places
+  /// workload buffers as it was (the MPI registration cache is keyed by
+  /// address).
+  struct IdleWait final : sim::StepKey {
+    struct Queuer {
+      sim::Time at = 0;
+      std::uint64_t index = 0;  // Engine::dispatch_index, 0: only replayed
+    };
+    IdleWait(sim::Engine& engine, sim::Time deadline, const char* what, int rank)
+        : engine(&engine), deadline(deadline), what(what), rank(rank) {}
+    IdleWait(const IdleWait&) = delete;
+    IdleWait& operator=(const IdleWait&) = delete;
+    ~IdleWait() { clear_chain(); }
+
+    void check_deadline(sim::Time now) const {
+      if (now > deadline) {
+        throw std::runtime_error(std::string("MPI progress timed out: ") + what);
+      }
+    }
+    /// The dispatch running now queues the chain's next step.
+    void queue_step() {
+      if (engine->dispatch_index() != resumed_index) {
+        clear_chain();
+        origin_queued = engine->queued_at();
+      }
+      push_queuer({engine->now(), engine->dispatch_index()});
+    }
+    void push_queuer(Queuer q);
+    /// Two steps queued at the same instant run in the order of the steps
+    /// that queued them, and so on back; see endpoint.cpp.
+    int order(const sim::StepKey& other) const override;
+
+    sim::Engine* engine;
+    sim::Time deadline;
+    const char* what;
+    int rank;
+    int idle = 0;  // progress passes in a row that found nothing
+    sim::Time origin_queued = 0;
+    std::uint64_t resumed_index = 0;  // the dispatch that ran its last step
+
+   private:
+    struct Block {
+      static constexpr std::uint32_t kSize = 64;
+      Block* prev;
+      std::uint32_t count;
+      Queuer q[kSize];
+    };
+    void clear_chain();
+    Block* tail_ = nullptr;  // newest block; the chain runs back via prev
+  };
+  /// A wait's predicate, by reference (it lives in the waiting frame).
+  class DoneFn {
+   public:
+    template <typename Pred>
+    explicit DoneFn(const Pred& pred)
+        : pred_(&pred), call_([](const void* p) {
+            return static_cast<bool>((*static_cast<const Pred*>(p))());
+          }) {}
+    bool operator()() const { return call_(pred_); }
+
+   private:
+    const void* pred_;
+    bool (*call_)(const void*);
+  };
+
+  /// Idle passes before the backoff starts, and the backoff after `idle`
+  /// idle passes in a row.
+  static constexpr int kSpinPolls = 64;
+  static sim::Time backoff(int idle) {
+    return std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
+  }
+
+  /// One progress pass of `wait`; endpoints that queue the wait's poll
+  /// steps themselves override it.
+  virtual sim::Task<bool> progress_in(IdleWait&) { return progress_once(); }
+  /// Whether progress_until hands idle passes to park_idle.
+  virtual bool parks_when_idle() const { return false; }
+  /// Called by progress_until after a progress_once that found nothing;
+  /// returns once the loop should test `done` again, and whether progress
+  /// was made on the way. Must behave exactly like progress_until's own
+  /// idle passes.
+  virtual sim::Task<bool> park_idle(IdleWait& wait, DoneFn done);
+
   struct PostedRecv {
     int src = 0;
     int tag = 0;

@@ -2,7 +2,8 @@
 // it costs nothing at the device (the paper's "polling" pillar): the CPU
 // cost of a poll is charged by the verbs layer. Arming requests a one-shot
 // interrupt on the next completion (the `ibv_req_notify_cq` path used when
-// polling is disabled).
+// polling is disabled). A wait hook does the same for a poller that
+// stops polling an empty CQ without sleeping on an interrupt.
 //
 // Storage is a power-of-two ring over a flat vector (real CQs are rings in
 // host memory): push/poll are index arithmetic with no per-CQE allocation.
@@ -39,6 +40,10 @@ class CompletionQueue {
     if (count_ == ring_.size()) grow();
     ring_[(head_ + count_) & (ring_.size() - 1)] = cqe;
     ++count_;
+    if (wait_armed_) {
+      wait_armed_ = false;
+      on_wait_(*this);
+    }
     if (armed_) {
       armed_ = false;
       if (on_event_) on_event_(*this);
@@ -67,6 +72,15 @@ class CompletionQueue {
     on_event_ = std::move(handler);
   }
 
+  /// The wait hook, next to the interrupt: a poller that stops polling
+  /// while the CQ stays empty installs a handler once and arms it each
+  /// time it stops; the next CQE disarms it and calls the handler.
+  void set_wait_handler(std::function<void(CompletionQueue&)> handler) {
+    on_wait_ = std::move(handler);
+  }
+  void arm_wait() { wait_armed_ = true; }
+  void disarm_wait() { wait_armed_ = false; }
+
  private:
   void grow() {
     const std::size_t old_size = ring_.size();
@@ -91,8 +105,10 @@ class CompletionQueue {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   bool armed_ = false;
+  bool wait_armed_ = false;
   bool overflowed_ = false;
   std::function<void(CompletionQueue&)> on_event_;
+  std::function<void(CompletionQueue&)> on_wait_;
 };
 
 }  // namespace cord::nic

@@ -57,6 +57,18 @@ struct CpuModel {
 /// per-core time accounting reported by the observability tools.
 enum class Work : std::uint8_t { kCompute, kSpin, kKernel };
 
+/// Told before a core accounts any time. A waiter that charges its idle
+/// polls to the core lazily (mpi::VerbsEndpoint) watches its core this
+/// way, so it can charge what it owes first and keep the order of charges
+/// — and with it the DVFS residency — exactly as if it had polled.
+class ChargeObserver {
+ public:
+  virtual void before_charge(Work kind) = 0;
+
+ protected:
+  ~ChargeObserver() = default;
+};
+
 class Core {
  public:
   Core(sim::Engine& engine, const CpuModel& model, std::uint64_t rng_seed)
@@ -80,6 +92,7 @@ class Core {
   /// Scale a base-frequency cost to the current frequency and update the
   /// DVFS residency without suspending (for cost composition).
   sim::Time charge(sim::Time cost_at_base, Work kind) {
+    notify(kind);
     const sim::Time scaled = static_cast<sim::Time>(
         static_cast<double>(cost_at_base) * model_.base_ghz / frequency_ghz());
     account(scaled, kind);
@@ -95,6 +108,7 @@ class Core {
   /// Block without consuming CPU (sleeping on an event). Resets the spin
   /// residency towards idle.
   sim::Task<> idle(sim::Time duration) {
+    notify(Work::kCompute);
     account(duration, Work::kCompute);  // idle cools the core like compute
     co_await engine_->delay(duration);
   }
@@ -130,7 +144,14 @@ class Core {
   sim::Time time_kernel() const { return time_kernel_; }
   double spin_load() const { return spin_load_; }
 
+  /// Install (or clear, with nullptr) the one observer of this core.
+  void set_observer(ChargeObserver* o) { observer_ = o; }
+
  private:
+  void notify(Work kind) {
+    if (observer_ != nullptr) [[unlikely]] observer_->before_charge(kind);
+  }
+
   void account(sim::Time dur, Work kind) {
     switch (kind) {
       case Work::kCompute: time_compute_ += dur; break;
@@ -147,6 +168,7 @@ class Core {
   }
 
   sim::Engine* engine_;
+  ChargeObserver* observer_ = nullptr;
   CpuModel model_;
   sim::Rng rng_;
   double spin_load_ = 0.0;

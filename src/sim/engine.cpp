@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <stdexcept>
+
 namespace cord::sim {
 
 namespace detail {
@@ -7,6 +9,12 @@ void notify_root_done(Engine& engine, std::uint64_t root_id) noexcept {
   engine.roots_.erase(root_id);
 }
 }  // namespace detail
+
+void Engine::throw_undecided() {
+  throw std::logic_error(
+      "sim::Engine: a back-dated step shares its instant and queueing "
+      "instant with an event it cannot be ordered against");
+}
 
 std::vector<Engine::Slab>& Engine::slab_cache() {
   static std::vector<Slab> cache;

@@ -1,23 +1,35 @@
 // Discrete-event engine: a single-threaded virtual clock plus an event
-// queue of coroutine resumptions and callbacks. Deterministic: ties in
-// timestamp break by insertion sequence number.
+// queue of coroutine resumptions and callbacks. Deterministic: events run
+// in `(t, queued_at, seq)` order — by timestamp, then by the instant they
+// were queued, then by insertion sequence number. For events queued at
+// now() (all of them but the back-dated ones below) seq grows with the
+// queueing instant, so this is exactly the `(t, seq)` order.
+//
+// Keyed steps. A waiter may queue its steps with a StepKey, the record of
+// its chain of steps: `schedule_at(t, key)` queues one at now() like any
+// event, `schedule_at(t, queued_at, key)` back-dates one that was queued
+// by a step the waiter never ran (it skipped simulating it), so that it
+// takes the place that step's event would have taken. Events that share
+// `(t, queued_at)` run in seq order, except that a back-dated step is
+// ordered against other keyed steps by their keys (StepKey::order), and
+// after ordinary events: those cannot be ordered against it. Such a pair,
+// or two keys that cannot tell their order, stops the run with
+// std::logic_error rather than guess (undecided_ties()).
 //
 // Hot-path design (the engine bounds the wall-clock of every figure
 // bench):
-//  * Heap items are 24-byte PODs `{t, seq, payload}` — the payload is a
-//    tagged pointer: a coroutine frame address (tag 0) or a pooled
-//    callback slot (tag 1). Sift operations move three words, never the
-//    callable itself.
+//  * Heap items are 32-byte PODs `{t, queued_at, seq, payload}` — the
+//    payload is a tagged pointer: a coroutine frame address (tag 0), a
+//    pooled callback slot (tag 1), an alarm (tag 2) or a StepKey (tag
+//    4). Sift operations move four words, never the callable itself.
 //  * Callbacks live in `InlineFn` slots from a slab-backed freelist: a
 //    `call_at` constructs the callable directly in a recycled slot, so
 //    steady-state simulation performs zero allocations per event and the
 //    callable never moves once parked.
 //  * The queue is a hand-rolled 4-ary min-heap: shallower than a binary
 //    heap (fewer cache-missing levels per sift) and `reserve()`d up
-//    front. Ordering is the exact `(t, seq)` total order the old
-//    `std::priority_queue` used — `seq` is unique, so pop order is a
-//    strict total order independent of heap layout, and every
-//    EXPERIMENTS.md number is unchanged.
+//    front. `seq` is unique, so pop order is a strict total order
+//    independent of heap layout.
 //  * Scheduling into the past clamps to `now()` in every build mode (the
 //    old `assert` vanished under NDEBUG and silently corrupted event
 //    order); `clamped_events()` counts occurrences for tests/debugging.
@@ -26,6 +38,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -42,6 +55,23 @@ class Tracer;
 
 namespace cord::sim {
 
+/// A waiter's chain of steps, queued through the engine one at a time:
+/// the event resumes `handle`. order() ranks this chain's pending step
+/// against another chain's pending step with the same (t, queued_at): < 0
+/// when this one runs first, > 0 otherwise (never 0 — a key that cannot
+/// tell reports it through Engine::count_undecided_tie, which stops the
+/// run, and returns a fixed order meanwhile). A key must outlive its
+/// queued step.
+class StepKey {
+ public:
+  virtual int order(const StepKey& other) const = 0;
+
+  std::coroutine_handle<> handle;
+
+ protected:
+  ~StepKey() = default;
+};
+
 class Engine {
  public:
   Engine() { heap_.reserve(1024); }
@@ -53,9 +83,40 @@ class Engine {
 
   /// Resume `h` at absolute time `t` (clamped to now() if in the past).
   void schedule_at(Time t, std::coroutine_handle<> h) {
-    queue_push(Item{clamp_to_now(t), next_seq_++,
+    queue_push(Item{clamp_to_now(t), now_, next_seq_++,
                     reinterpret_cast<std::uintptr_t>(h.address())});
   }
+  /// Resume `key.handle` at `t`: the next step of `key`'s chain, queued
+  /// now like any event.
+  void schedule_at(Time t, StepKey& key) {
+    queue_push(Item{clamp_to_now(t), now_, next_seq_++, key_payload(key)});
+  }
+  /// Back-dated: resume `key.handle` at `t`, ordered as if queued at
+  /// `queued_at` (<= now()) by a step of the chain that never ran.
+  /// Events at `t` queued before `queued_at` run first, events queued
+  /// after it run later, keyed steps queued at `queued_at` run in key
+  /// order; an ordinary event queued at `queued_at` cannot be ordered
+  /// against it, which stops the run (undecided_ties()).
+  void schedule_at(Time t, Time queued_at, StepKey& key) {
+    queue_push(Item{clamp_to_now(t), queued_at, next_seq_++ | kBackdated,
+                    key_payload(key)});
+  }
+  /// The instant at which the event being dispatched was queued. With
+  /// now() it places the current dispatch in the event order: an event
+  /// at (now(), queued_at()) runs before any at (now(), q) for
+  /// q > queued_at().
+  Time queued_at() const { return now_q_; }
+  /// 1-based index of the event being dispatched, in dispatch order.
+  std::uint64_t dispatch_index() const { return events_processed_; }
+  /// The StepKey of the event being dispatched, nullptr unless it is a
+  /// keyed step.
+  const StepKey* dispatch_key() const { return now_key_; }
+  /// Same-instant ties around back-dated steps whose order the keys could
+  /// not decide. The first one stops run()/run_until() with
+  /// std::logic_error: the run would otherwise guess an order that the
+  /// skipped steps may not have had.
+  std::uint64_t undecided_ties() const { return undecided_ties_; }
+  void count_undecided_tie() { ++undecided_ties_; }
   /// Resume `h` after `delay`.
   void schedule_in(Time delay, std::coroutine_handle<> h) {
     schedule_at(now_ + delay, h);
@@ -84,6 +145,26 @@ class Engine {
     call_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Alarms: re-armable wake-ups for a waiter that simulates no events of
+  /// its own (a parked MPI wait's deadlock deadline). An armed alarm runs
+  /// its callback once, before every other event at its instant; arming
+  /// an alarm later than it is queued costs no new event, and an alarm
+  /// that is disarmed or re-armed before it fires leaves nothing visible
+  /// behind: its queued entry pops without advancing now() or counting as
+  /// an event. Alarms live as long as the engine.
+  using AlarmId = std::size_t;
+  AlarmId add_alarm(InlineFn fn) {
+    alarms_.push_back(Alarm{kNever, kNever, std::move(fn)});
+    return alarms_.size() - 1;
+  }
+  /// (Re)arm alarm `id` to fire at `t` (>= now()).
+  void arm_alarm(AlarmId id, Time t) {
+    Alarm& a = alarms_[id];
+    a.at = t;
+    if (a.queued > t) push_alarm(a);
+  }
+  void disarm_alarm(AlarmId id) { alarms_[id].at = kNever; }
+
   /// Detach a root task: it starts at the current time and owns itself.
   template <typename T>
   void spawn(Task<T> task) {
@@ -100,13 +181,17 @@ class Engine {
   /// visible to callers lets the compiler collapse a schedule→dispatch
   /// ping-pong into register traffic.
   Time run() {
-    while (pending_ != 0) step_one();
+    while (pending_ != 0 && undecided_ties_ == 0) step_one();
+    if (undecided_ties_ != 0) [[unlikely]] throw_undecided();
     return now_;
   }
   /// Run until the queue drains or virtual time would pass `deadline`.
   /// Events after `deadline` stay queued; now() is clamped to `deadline`.
   Time run_until(Time deadline) {
-    while (pending_ != 0 && heap_.top().t <= deadline) step_one();
+    while (pending_ != 0 && undecided_ties_ == 0 && heap_.top().t <= deadline) {
+      step_one();
+    }
+    if (undecided_ties_ != 0) [[unlikely]] throw_undecided();
     if (now_ < deadline) now_ = deadline;
     return now_;
   }
@@ -161,14 +246,36 @@ class Engine {
   /// of both run loops.
   [[gnu::always_inline]] void step_one() {
     const Item item = queue_pop();
+    if (item.payload & kAlarmTag) [[unlikely]] {
+      if (!alarm_due(item)) return;
+    } else if (item.seq & kBackdated) [[unlikely]] {
+      check_tie(item);
+    }
     now_ = item.t;
+    now_q_ = item.q;
+    now_key_ = key_of(item.payload);
     dispatch(item.payload);
   }
 
-  // Payload tag bit. FnSlot and coroutine frames are both aligned to
-  // alignof(std::max_align_t) (>= 8), so the low bit of the address is
-  // free.
+  // Payload tag bits. FnSlot, Alarm, StepKey and coroutine frames are all
+  // aligned to at least 8, so the low three bits of the address are free.
   static constexpr std::uintptr_t kFnTag = 1;
+  static constexpr std::uintptr_t kAlarmTag = 2;
+  static constexpr std::uintptr_t kKeyTag = 4;
+  static constexpr std::uintptr_t kTagMask = 7;
+  // Marks a back-dated step's seq.
+  static constexpr std::uint64_t kBackdated = std::uint64_t{1} << 63;
+
+  static std::uintptr_t key_payload(StepKey& key) {
+    return reinterpret_cast<std::uintptr_t>(&key) | kKeyTag;
+  }
+  static const StepKey* key_of(std::uintptr_t payload) {
+    return (payload & kKeyTag) != 0
+               ? reinterpret_cast<const StepKey*>(payload & ~kTagMask)
+               : nullptr;
+  }
+  static constexpr Time kNever = INT64_MAX;
+
 
   /// Pooled parking space for one scheduled callback. Slots live in
   /// fixed-size slabs (stable addresses) and recycle via freelist; retired
@@ -178,21 +285,71 @@ class Engine {
     FnSlot* next_free = nullptr;
   };
 
-  /// One queued event: a 24-byte POD moved by value through the heap.
-  /// The payload is a coroutine frame address, or FnSlot* | kFnTag.
+  /// One queued event: a 32-byte POD moved by value through the heap.
+  /// The payload is a coroutine frame address, FnSlot* | kFnTag or
+  /// Alarm* | kAlarmTag.
   struct Item {
     Time t;
+    Time q;  // queued_at
     std::uint64_t seq;
     std::uintptr_t payload;
 
     bool before(const Item& o) const {
-      return t != o.t ? t < o.t : seq < o.seq;
+      if (t != o.t) return t < o.t;
+      if (q != o.q) return q < o.q;
+      if (((seq | o.seq) & kBackdated) != 0) [[unlikely]] {
+        return backdated_before(*this, o);
+      }
+      return seq < o.seq;
     }
   };
   static_assert(std::is_trivially_copyable_v<Item>);
 
+  struct alignas(8) Alarm {
+    Time at;      // armed instant, kNever when disarmed
+    Time queued;  // instant of its earliest queued entry, kNever if none
+    InlineFn fn;
+  };
+
+  void push_alarm(Alarm& a) {
+    a.queued = a.at;
+    // Queued "before time began": sorts before everything at its instant.
+    queue_push(Item{a.at, -1, next_seq_++,
+                    reinterpret_cast<std::uintptr_t>(&a) | kAlarmTag});
+  }
+
+  /// A popped alarm entry: fire if the alarm is armed for this instant,
+  /// otherwise vanish (re-queueing the alarm if it is armed later).
+  bool alarm_due(const Item& item) {
+    Alarm& a = *reinterpret_cast<Alarm*>(item.payload & ~kAlarmTag);
+    if (a.queued == item.t) a.queued = kNever;
+    if (a.at != item.t) {
+      if (a.at != kNever && a.queued == kNever) push_alarm(a);
+      return false;
+    }
+    a.at = kNever;
+    return true;
+  }
+
+  /// Order of two events with the same (t, queued_at), one of them a
+  /// back-dated step: keyed steps by their keys, ordinary events first.
+  static bool backdated_before(const Item& a, const Item& b) {
+    const StepKey* ka = key_of(a.payload);
+    const StepKey* kb = key_of(b.payload);
+    if (ka != nullptr && kb != nullptr) return ka->order(*kb) < 0;
+    return ka == nullptr;
+  }
+  [[noreturn]] static void throw_undecided();
+  /// Counts a back-dated step dispatched right after an ordinary event
+  /// with the same (t, queued_at).
+  void check_tie(const Item& item) {
+    if (item.t == now_ && item.q == now_q_ && now_key_ == nullptr) {
+      ++undecided_ties_;
+    }
+  }
+
   /// 4-ary min-heap ordered by Item::before, fronted by a one-item cache.
-  /// `(t, seq)` is a strict total order (seq is unique), so pop order is
+  /// `(t, q, seq)` is a strict total order (seq is unique), so pop order is
   /// independent of internal layout — determinism rests on neither the
   /// arity nor the cache, only on always popping the global minimum.
   ///
@@ -344,15 +501,22 @@ class Engine {
   }
 
   void push_fn(Time t, FnSlot* slot) {
-    queue_push(Item{clamp_to_now(t), next_seq_++,
+    queue_push(Item{clamp_to_now(t), now_, next_seq_++,
                     reinterpret_cast<std::uintptr_t>(slot) | kFnTag});
   }
 
-  /// Execute one popped event: resume a coroutine (tag 0) or invoke and
-  /// recycle a parked callback (kFnTag set).
+  /// Execute one popped event: resume a coroutine (tag 0), invoke and
+  /// recycle a parked callback (kFnTag), fire an alarm (kAlarmTag) or
+  /// resume a keyed step (kKeyTag).
   void dispatch(std::uintptr_t payload) {
     ++events_processed_;
-    if (payload & kFnTag) {
+    if (payload & (kAlarmTag | kKeyTag)) [[unlikely]] {
+      if (payload & kKeyTag) {
+        key_of(payload)->handle.resume();
+      } else {
+        reinterpret_cast<Alarm*>(payload & ~kAlarmTag)->fn();
+      }
+    } else if (payload & kFnTag) {
       FnSlot* slot = reinterpret_cast<FnSlot*>(payload & ~kFnTag);
       slot->fn();
       release_slot(slot);
@@ -376,11 +540,15 @@ class Engine {
   std::size_t slab_slots_ = 64;  // next fresh-slab size; doubles to the cap
   FnSlot* free_slots_ = nullptr;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
+  std::deque<Alarm> alarms_;  // stable addresses: queued entries point here
   Time now_ = 0;
+  Time now_q_ = 0;  // queued_at of the event being dispatched
+  const StepKey* now_key_ = nullptr;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_events_ = 0;
+  std::uint64_t undecided_ties_ = 0;
   trace::Tracer* tracer_ = nullptr;
 };
 

@@ -223,23 +223,32 @@ sim::Task<std::size_t> Context::poll_cq(nic::CompletionQueue& cq,
   // Harvesting closes every gather window: whatever was posted must be
   // submitted before we look for its completions.
   if (batching()) (void)co_await flush_all();
-  ++dataplane_ops_;
-  if (opts_.mode == DataplaneMode::kCord && opts_.poll_via_kernel) {
+  if (polls_in_kernel()) {
+    ++dataplane_ops_;
     co_return co_await host_->kernel().poll_cq(*core_, opts_.tenant, cq, out);
   }
-  // User-space poll: the CQ ring lives in user-mapped memory.
-  const os::CpuModel& m = core_->model();
-  const std::size_t n = cq.poll(out);
-  if (n > 0) {
-    if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
-      tr->record(trace::Point::kVerbsPollCq, 0, cq.cqn(), opts_.tenant,
-                 node8(*host_), n);
-    }
-  }
-  const sim::Time cost =
-      n == 0 ? m.poll_miss : static_cast<sim::Time>(n) * m.poll_hit;
-  co_await core_->work(cost, n == 0 ? os::Work::kSpin : os::Work::kCompute);
+  sim::Time took = 0;
+  const std::size_t n = poll_now(cq, out, took);
+  co_await core_->engine().delay(took);
   co_return n;
+}
+
+std::size_t Context::poll_now(nic::CompletionQueue& cq, std::span<nic::Cqe> out,
+                              sim::Time& took) {
+  // User-space poll: the CQ ring lives in user-mapped memory.
+  const std::size_t n = cq.poll(out);
+  if (n == 0) {
+    took = charge_empty_poll();
+    return 0;
+  }
+  ++dataplane_ops_;
+  if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
+    tr->record(trace::Point::kVerbsPollCq, 0, cq.cqn(), opts_.tenant,
+               node8(*host_), n);
+  }
+  took = core_->charge(static_cast<sim::Time>(n) * core_->model().poll_hit,
+                       os::Work::kCompute);
+  return n;
 }
 
 sim::Task<nic::Cqe> Context::wait_one(nic::CompletionQueue& cq, sim::Time timeout) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "mpi/world.hpp"
 
@@ -316,5 +317,58 @@ TEST(Determinism, SameWorldSameTime) {
   EXPECT_EQ(once(), once());
 }
 
+// --- deadlock guard ----------------------------------------------------------
+
+struct TimeoutPrint {
+  sim::Time thrown_at;
+  sim::Time spin;
+  std::uint64_t verbs_ops;
+  std::string what;
+};
+
+/// Rank 0 posts a receive nobody ever sends; rank 1 returns at once.
+TimeoutPrint unmatched_recv(NetMode net) {
+  core::System sys(core::system_a(), 2);
+  World world(sys, 2, {.net = net});
+  TimeoutPrint p{};
+  try {
+    (void)world.run([](Rank& r) -> sim::Task<> {
+      if (r.id() != 0) co_return;
+      std::vector<int> out(4);
+      (void)co_await r.recv<int>(1, 99, out);
+    });
+  } catch (const std::runtime_error& e) {
+    p.what = e.what();
+  }
+  p.thrown_at = sys.engine().now();
+  p.spin = world.rank(0).core().time_spin();
+  p.verbs_ops =
+      dynamic_cast<VerbsEndpoint&>(world.rank(0).endpoint()).context().dataplane_ops();
+  return p;
+}
+
+TEST(Deadlock, UnmatchedRecvTimesOutAtTheLoopsStep) {
+  // The deadline guard turns a hung wait into an exception 5 s of virtual
+  // time after the wait began, at the first deadline check past it. The
+  // instant, the spin charged until then and the polls issued were
+  // captured from the step-by-step progress loop.
+  const struct {
+    NetMode net;
+    sim::Time thrown_at;
+    sim::Time spin;
+    std::uint64_t verbs_ops;
+  } cases[] = {
+      {NetMode::kBypass, 5000399705868, 5000012927843, 500740},
+      {NetMode::kCord, 5000977090687, 5000013995753, 500718},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.net == NetMode::kCord ? "cord" : "bypass");
+    const TimeoutPrint p = unmatched_recv(c.net);
+    EXPECT_EQ(p.what, "MPI progress timed out: recv (posted)");
+    EXPECT_EQ(p.thrown_at, c.thrown_at);
+    EXPECT_EQ(p.spin, c.spin);
+    EXPECT_EQ(p.verbs_ops, c.verbs_ops);
+  }
+}
 }  // namespace
 }  // namespace cord::mpi

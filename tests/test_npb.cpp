@@ -178,6 +178,109 @@ TEST(Determinism, TracingLeavesElapsedTimeUnchanged) {
   }
 }
 
+// --- verbs progress goldens -------------------------------------------------
+//
+// Everything an MPI rank's progress loop charges, pinned exactly for the
+// verbs transports: elapsed time and traffic, the per-kind core time and
+// DVFS residency summed over ranks, every data-plane verb issued, and the
+// kernel and NIC counters. An idle rank's polls are replayed as
+// arithmetic rather than simulated one by one (mpi::VerbsEndpoint), so
+// these catch a replay that charges a different amount, in a different
+// order or on the wrong counter. The values were captured from the
+// step-by-step progress loop.
+
+struct ProgressPrint {
+  sim::Time elapsed;
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  sim::Time spin;
+  sim::Time compute;
+  sim::Time kernel;
+  double spin_load;
+  std::uint64_t verbs_ops;
+  std::int64_t syscalls;
+  std::int64_t doorbells;
+};
+
+ProgressPrint progress_print(core::SystemConfig sys_cfg, Kernel k, int ranks,
+                             NetMode net) {
+  core::System sys(std::move(sys_cfg), 2);
+  mpi::World world(sys, ranks, {.net = net});
+  const Result r = run(world, RunConfig{k, Class::kS, /*verify=*/false, 0});
+  ProgressPrint p{r.elapsed, r.messages, r.bytes, 0, 0, 0, 0.0, 0, 0, 0};
+  for (int i = 0; i < world.size(); ++i) {
+    os::Core& c = world.rank(i).core();
+    p.spin += c.time_spin();
+    p.compute += c.time_compute();
+    p.kernel += c.time_kernel();
+    p.spin_load += c.spin_load();
+    auto& ep = dynamic_cast<mpi::VerbsEndpoint&>(world.rank(i).endpoint());
+    p.verbs_ops += ep.context().dataplane_ops();
+  }
+  p.syscalls = sys.metrics().gauge_value("kernel.syscalls");
+  p.doorbells = sys.metrics().gauge_value("nic.doorbells");
+  return p;
+}
+
+void expect_print(const ProgressPrint& got, const ProgressPrint& want) {
+  EXPECT_EQ(got.elapsed, want.elapsed);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.spin, want.spin);
+  EXPECT_EQ(got.compute, want.compute);
+  EXPECT_EQ(got.kernel, want.kernel);
+  EXPECT_EQ(got.spin_load, want.spin_load);
+  EXPECT_EQ(got.verbs_ops, want.verbs_ops);
+  EXPECT_EQ(got.syscalls, want.syscalls);
+  EXPECT_EQ(got.doorbells, want.doorbells);
+}
+
+TEST(ProgressGolden, CgLuMgClassSOnSystemA) {
+  const struct {
+    Kernel kernel;
+    NetMode net;
+    ProgressPrint want;
+  } cases[] = {
+      {Kernel::kCG, NetMode::kBypass,
+       {23286237404, 36384, 68562264, 109147039146, 113999672352, 1711060852,
+        0x1.3267b188fb4ffp+2, 4271680, 288, 34862}},
+      {Kernel::kCG, NetMode::kCord,
+       {29171631844, 36384, 68562264, 145216198565, 110555691264, 34421214299,
+        0x1.43e32196b255p+2, 5026162, 75248, 34696}},
+      {Kernel::kLU, NetMode::kBypass,
+       {8392885197, 13224, 2880984, 25631886260, 42219988648, 1647920994,
+        0x1.d78cf12b01542p+1, 387836, 272, 12924}},
+      {Kernel::kLU, NetMode::kCord,
+       {9698252842, 13224, 2880984, 27845345790, 39678386170, 14991675162,
+        0x1.c647bd058310cp+1, 408602, 34912, 13099}},
+      {Kernel::kMG, NetMode::kBypass,
+       {766606850, 1272, 1083864, 2709374742, 4230619906, 1647920994,
+        0x1.7504745b52cdbp+1, 143972, 272, 1122}},
+      {Kernel::kMG, NetMode::kCord,
+       {986124293, 1272, 1083864, 3873535027, 3813664749, 5392086473,
+        0x1.a926552278c1ep+1, 174182, 11008, 1238}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.kernel)) +
+                 (c.net == NetMode::kCord ? " cord" : " bypass"));
+    expect_print(progress_print(core::system_a(), c.kernel, 8, c.net), c.want);
+  }
+}
+
+TEST(ProgressGolden, SamePicosecondArrivalTies) {
+  // CQEs that land on the exact picosecond of the receiving rank's next
+  // poll: the step-by-step loop polled 2 of them (CG, 4 ranks, System A,
+  // bypass) and 37 of them (System L, CoRD) at the very instant they
+  // arrived. Whether each poll saw its CQE depends on which of the two
+  // events was queued first.
+  expect_print(progress_print(core::system_a(), Kernel::kCG, 4, NetMode::kBypass),
+               {32267052756, 12878, 25674088, 45338654893, 97012135906,
+                623750911, 0x1.d0f78cbb83242p+0, 1706528, 80, 12092});
+  expect_print(progress_print(core::system_l(), Kernel::kCG, 4, NetMode::kCord),
+               {37562716125, 12878, 25674088, 34195500000, 121570514500,
+                10153900000, 0x1.7005f1038ef64p+0, 1225286, 27682, 12285});
+}
+
 TEST(Determinism, NpbRunsReproduce) {
   const Result a = run_kernel(Kernel::kMG, 8, NetMode::kBypass);
   const Result b = run_kernel(Kernel::kMG, 8, NetMode::kBypass);

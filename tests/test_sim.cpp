@@ -91,6 +91,107 @@ TEST(Engine, TiesBreakByScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+// --- keyed, back-dated steps and alarms ------------------------------------
+
+struct TestKey final : StepKey {
+  explicit TestKey(int id) : id(id) {}
+  int order(const StepKey& other) const override {
+    return id < static_cast<const TestKey&>(other).id ? -1 : 1;
+  }
+  int id;
+};
+
+/// Suspend and resume as `key`'s step at `t`, back-dated to `queued_at`.
+auto backdated_step(Engine& e, TestKey& key, Time t, Time queued_at) {
+  struct Awaiter {
+    Engine& e;
+    TestKey& key;
+    Time t;
+    Time queued_at;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      key.handle = h;
+      e.schedule_at(t, queued_at, key);
+    }
+    void await_resume() const {}
+  };
+  return Awaiter{e, key, t, queued_at};
+}
+
+TEST(Engine, BackdatedStepRunsWhereItsQueuingInstantPutsIt) {
+  Engine e;
+  std::vector<int> order;
+  // Queued at 0 and at 10 for t = 20; the step is queued at 10, back-dated
+  // to 5: it runs between them.
+  e.call_at(20, [&] { order.push_back(0); });
+  TestKey key(1);
+  e.spawn([](Engine& e, TestKey& key, std::vector<int>& order) -> Task<> {
+    co_await e.delay(10);
+    e.call_at(20, [&] { order.push_back(2); });
+    co_await backdated_step(e, key, 20, 5);
+    order.push_back(1);
+  }(e, key, order));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(e.undecided_ties(), 0u);
+}
+
+TEST(Engine, KeyedStepsWithTheSameInstantsRunInKeyOrder) {
+  Engine e;
+  std::vector<int> order;
+  TestKey low(1);
+  TestKey high(2);
+  // Back-dated in the opposite order of their keys.
+  for (TestKey* k : {&high, &low}) {
+    e.spawn([](Engine& e, TestKey& key, std::vector<int>& order) -> Task<> {
+      co_await e.delay(10);
+      co_await backdated_step(e, key, 20, 5);
+      order.push_back(key.id);
+    }(e, *k, order));
+  }
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Engine, UndecidableTieStopsTheRun) {
+  // An ordinary event and a back-dated step, both queued at 10 for t = 20:
+  // nothing tells their order.
+  Engine e;
+  TestKey key(1);
+  e.spawn([](Engine& e, TestKey& key) -> Task<> {
+    co_await e.delay(10);
+    e.call_at(20, [] {});
+    co_await backdated_step(e, key, 20, 10);
+  }(e, key));
+  EXPECT_THROW(e.run(), std::logic_error);
+  EXPECT_EQ(e.undecided_ties(), 1u);
+}
+
+TEST(Engine, AlarmFiresFirstAtItsInstantAndVanishesWhenDisarmed) {
+  Engine e;
+  std::vector<int> order;
+  const Engine::AlarmId a = e.add_alarm([&] { order.push_back(1); });
+  const Engine::AlarmId b = e.add_alarm([&] { order.push_back(9); });
+  e.call_at(50, [&] { order.push_back(2); });
+  e.arm_alarm(a, 50);
+  e.arm_alarm(b, 1000);
+  e.call_at(60, [&] { e.disarm_alarm(b); });
+  EXPECT_EQ(e.run(), 60) << "a disarmed alarm leaves now() where it was";
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.events_processed(), 3u) << "the disarmed alarm is no event";
+}
+
+TEST(Engine, ReArmingLaterReusesTheQueuedAlarm) {
+  Engine e;
+  Time fired = -1;
+  const Engine::AlarmId a = e.add_alarm([&] { fired = e.now(); });
+  e.arm_alarm(a, 100);
+  e.call_at(40, [&] { e.arm_alarm(a, 300); });
+  e.run();
+  EXPECT_EQ(fired, 300);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
 TEST(Engine, CallAtRunsCallback) {
   Engine e;
   Time fired = -1;

@@ -270,6 +270,10 @@ TEST(Socket, PerNodeKernelPathIsSharedAcrossConnections) {
   };
   const double one = n_stream_gbps(1);
   const double six = n_stream_gbps(6);
+  // Copy-bound, not wire-bound: one stream runs at the same rate on the
+  // 100 Gbit/s wire as on the 400 Gbit/s one (55.56 vs 55.65 Gbit/s; the
+  // remainder is the slower wire's serialization latency).
+  EXPECT_NEAR(one_stream_gbps(), one, 0.01 * one);
   // Effective node ceiling = mss / (stack_tx + touch(mss)) ~ 120 Gbit/s;
   // one stream is per-core-copy bound (~55 Gbit/s).
   EXPECT_LT(six, one * 4.0)
