@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/frame_arena.hpp"
-
 namespace cord::mpi {
 
 sim::Task<std::size_t> Endpoint::recv(int src, int tag, std::span<std::byte> out) {
@@ -63,27 +61,40 @@ void Endpoint::deliver_eager(int src, int tag, std::span<const std::byte> payloa
   unexpected_.push_back(std::move(msg));
 }
 
-sim::Task<bool> Endpoint::park_idle(IdleWait&, DoneFn) {
-  throw std::logic_error("Endpoint::park_idle: this endpoint does not park");
+sim::Task<bool> Endpoint::wait_pass(IdleWait& wait, DoneFn done) {
+  (void)done;
+  // Not `if (co_await ...) co_return`: GCC 12 then resumes this frame
+  // after its final suspend.
+  const bool progress = co_await progress_once();
+  if (progress) co_return true;
+  if (++wait.idle > kSpinPolls) {
+    co_await core().work(backoff(wait.idle), os::Work::kSpin);
+  }
+  wait.check_deadline(core().engine().now());
   co_return false;
 }
 
-void Endpoint::IdleWait::push_queuer(Queuer q) {
-  if (tail_ == nullptr || tail_->count == Block::kSize) {
-    auto* b = static_cast<Block*>(sim::detail::frame_alloc(sizeof(Block)));
-    b->prev = tail_;
-    b->count = 0;
-    tail_ = b;
+Endpoint::IdleWait::IdleWait(Endpoint& owner, sim::Time deadline, const char* what)
+    : owner(&owner), engine(&owner.core().engine()), deadline(deadline), what(what) {
+  if (!owner.spare_chains_.empty()) {
+    chain_ = std::move(owner.spare_chains_.back());
+    owner.spare_chains_.pop_back();
   }
-  tail_->q[tail_->count++] = q;
 }
 
-void Endpoint::IdleWait::clear_chain() {
-  while (tail_ != nullptr) {
-    Block* prev = tail_->prev;
-    sim::detail::frame_free(tail_, sizeof(Block));
-    tail_ = prev;
+Endpoint::IdleWait::~IdleWait() {
+  engine->forget_key(this);
+  chain_.clear();
+  owner->spare_chains_.push_back(std::move(chain_));
+}
+
+void Endpoint::IdleWait::push_queuer(Queuer q) {
+  if (chain_.size() == kMaxChain) {
+    const auto keep = chain_.begin() + kMaxChain / 2;
+    origin_queued = (keep - 1)->at;
+    chain_.erase(chain_.begin(), keep);
   }
+  chain_.push_back(q);
 }
 
 int Endpoint::IdleWait::order(const sim::StepKey& other) const {
@@ -95,44 +106,30 @@ int Endpoint::IdleWait::order(const sim::StepKey& other) const {
   // their own queueing instants (the instants of the queuers below them),
   // and of those queuers' order after that, down to the origins: ordinary
   // dispatches, so in dispatch order too.
-  struct Cursor {
-    const Block* b;
-    std::uint32_t k;
-    const Queuer& get() const { return b->q[k]; }
-    bool down() {  // to the queuer below; false at the origin
-      if (k > 0) {
-        --k;
-        return true;
-      }
-      if (b->prev == nullptr) return false;
-      b = b->prev;
-      k = b->count - 1;
-      return true;
-    }
-  };
-  Cursor a{tail_, tail_->count - 1};
-  Cursor b{o->tail_, o->tail_->count - 1};
+  std::size_t a = chain_.size() - 1;
+  std::size_t b = o->chain_.size() - 1;
   for (;;) {
-    if (a.get().index != 0 && b.get().index != 0) {
-      return a.get().index < b.get().index ? -1 : 1;
+    const Queuer& qa_now = chain_[a];
+    const Queuer& qb_now = o->chain_[b];
+    if (qa_now.index != 0 && qb_now.index != 0) {
+      return qa_now.index < qb_now.index ? -1 : 1;
     }
-    Cursor a_below = a;
-    Cursor b_below = b;
-    const bool more_a = a_below.down();
-    const bool more_b = b_below.down();
-    const sim::Time qa = more_a ? a_below.get().at : origin_queued;
-    const sim::Time qb = more_b ? b_below.get().at : o->origin_queued;
+    // Queueing instants of the two queuers: the entries below them.
+    const sim::Time qa = a > 0 ? chain_[a - 1].at : origin_queued;
+    const sim::Time qb = b > 0 ? o->chain_[b - 1].at : o->origin_queued;
     if (qa != qb) return qa < qb ? -1 : 1;
-    // One of them is an origin: queued by an ordinary event, whose order
-    // against a step that never ran is unknown.
-    if (!more_a || !more_b) break;
-    a = a_below;
-    b = b_below;
+    // One of them is an origin, queued by an ordinary event whose order
+    // against a step that never ran is unknown, or the oldest entry kept.
+    if (a == 0 || b == 0) break;
+    --a;
+    --b;
   }
   // Unknown: counted, which stops the run; a fixed order until then.
   engine->count_undecided_tie();
-  return rank != o->rank ? (rank < o->rank ? -1 : 1)
-                         : (origin_queued < o->origin_queued ? -1 : 1);
+  const int ra = owner->rank();
+  const int rb = o->owner->rank();
+  if (ra != rb) return ra < rb ? -1 : 1;
+  return origin_queued < o->origin_queued ? -1 : 1;
 }
 
 Endpoint::PostedRecv* Endpoint::deliver_rts(PendingRts rts) {

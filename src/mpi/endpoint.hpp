@@ -49,27 +49,15 @@ class Endpoint {
   /// row, each idle pass adds a spin backoff of 25 ns per idle pass
   /// (capped at 20 us): the modelled poll-coarsening of an MPI progress
   /// engine, which costs at most ~20 us of detection latency on long
-  /// waits. A virtual-time deadline turns workload deadlocks into
-  /// exceptions. Endpoints that park when idle (parks_when_idle) run the
-  /// idle passes through park_idle, which charges them without simulating
-  /// them; the others step through every pass here.
+  /// waits (simulating the idle passes as events is the endpoint's
+  /// choice: VerbsEndpoint parks them). A virtual-time deadline turns
+  /// workload deadlocks into exceptions.
   template <typename Pred>
   sim::Task<> progress_until(Pred&& done, const char* what) {
-    IdleWait wait(core().engine(), core().engine().now() + kProgressTimeout,
-                  what, rank());
+    IdleWait wait(*this, core().engine().now() + kProgressTimeout, what);
     while (!done()) {
-      if (co_await progress_in(wait)) {
-        wait.idle = 0;
-        continue;
-      }
-      if (parks_when_idle()) {
-        if (co_await park_idle(wait, DoneFn(done))) wait.idle = 0;
-        continue;
-      }
-      if (++wait.idle > kSpinPolls) {
-        co_await core().work(backoff(wait.idle), os::Work::kSpin);
-      }
-      wait.check_deadline(core().engine().now());
+      const bool progressed = co_await wait_pass(wait, DoneFn(done));
+      if (progressed) wait.idle = 0;
     }
   }
 
@@ -79,20 +67,17 @@ class Endpoint {
   /// here (sim::StepKey): the dispatches that queued each step, from the
   /// ordinary dispatch that queued the first (the origin, whose own
   /// queueing instant closes the chain) to the one that queued the next.
-  /// The chain lives in blocks from the coroutine-frame arena, so the
-  /// progress path adds no heap allocation and leaves where malloc places
-  /// workload buffers as it was (the MPI registration cache is keyed by
-  /// address).
+  /// Chains are reused from wait to wait, and keep their newest
+  /// kMaxChain entries.
   struct IdleWait final : sim::StepKey {
     struct Queuer {
       sim::Time at = 0;
       std::uint64_t index = 0;  // Engine::dispatch_index, 0: only replayed
     };
-    IdleWait(sim::Engine& engine, sim::Time deadline, const char* what, int rank)
-        : engine(&engine), deadline(deadline), what(what), rank(rank) {}
+    IdleWait(Endpoint& owner, sim::Time deadline, const char* what);
     IdleWait(const IdleWait&) = delete;
     IdleWait& operator=(const IdleWait&) = delete;
-    ~IdleWait() { clear_chain(); }
+    ~IdleWait();
 
     void check_deadline(sim::Time now) const {
       if (now > deadline) {
@@ -102,7 +87,7 @@ class Endpoint {
     /// The dispatch running now queues the chain's next step.
     void queue_step() {
       if (engine->dispatch_index() != resumed_index) {
-        clear_chain();
+        chain_.clear();
         origin_queued = engine->queued_at();
       }
       push_queuer({engine->now(), engine->dispatch_index()});
@@ -112,23 +97,24 @@ class Endpoint {
     /// that queued them, and so on back; see endpoint.cpp.
     int order(const sim::StepKey& other) const override;
 
+    /// Longest chain kept (64 KiB). Two chains are compared back only as
+    /// far as they share instants (281 steps at most over fig6_npb), and
+    /// dropping older entries makes a comparison that reaches them
+    /// undecided. A long wait replays ~150,000 steps a second.
+    static constexpr std::size_t kMaxChain = 4096;
+
+    Endpoint* owner;
     sim::Engine* engine;
     sim::Time deadline;
     const char* what;
-    int rank;
     int idle = 0;  // progress passes in a row that found nothing
+    // Queueing instant of the chain's oldest entry (the origin's, unless
+    // older entries were dropped).
     sim::Time origin_queued = 0;
     std::uint64_t resumed_index = 0;  // the dispatch that ran its last step
 
    private:
-    struct Block {
-      static constexpr std::uint32_t kSize = 64;
-      Block* prev;
-      std::uint32_t count;
-      Queuer q[kSize];
-    };
-    void clear_chain();
-    Block* tail_ = nullptr;  // newest block; the chain runs back via prev
+    std::vector<Queuer> chain_;  // oldest first
   };
   /// A wait's predicate, by reference (it lives in the waiting frame).
   class DoneFn {
@@ -152,16 +138,12 @@ class Endpoint {
     return std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
   }
 
-  /// One progress pass of `wait`; endpoints that queue the wait's poll
-  /// steps themselves override it.
-  virtual sim::Task<bool> progress_in(IdleWait&) { return progress_once(); }
-  /// Whether progress_until hands idle passes to park_idle.
-  virtual bool parks_when_idle() const { return false; }
-  /// Called by progress_until after a progress_once that found nothing;
-  /// returns once the loop should test `done` again, and whether progress
-  /// was made on the way. Must behave exactly like progress_until's own
-  /// idle passes.
-  virtual sim::Task<bool> park_idle(IdleWait& wait, DoneFn done);
+  /// One pass of progress_until's loop; returns whether it made progress.
+  /// This one runs progress_once and, when that finds nothing, the idle
+  /// pass's backoff and deadline check, each as events. An endpoint may
+  /// run its idle passes differently, but they must come out exactly
+  /// like these.
+  virtual sim::Task<bool> wait_pass(IdleWait& wait, DoneFn done);
 
   struct PostedRecv {
     int src = 0;
@@ -202,6 +184,7 @@ class Endpoint {
   static constexpr sim::Time kProgressTimeout = sim::sec(5);
 
   std::list<PostedRecv*> posted_;
+  std::vector<std::vector<IdleWait::Queuer>> spare_chains_;  // for IdleWait
   std::deque<UnexpectedMsg> unexpected_;
   std::deque<PendingRts> pending_rts_;
   /// Copy cost accrued by deliveries inside progress; drained and charged

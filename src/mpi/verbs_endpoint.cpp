@@ -17,7 +17,13 @@ VerbsEndpoint::VerbsEndpoint(int rank, int world_size, verbs::Context ctx,
       ctx_(std::move(ctx)),
       cfg_(cfg),
       alarm_(ctx_.core().engine().add_alarm([this] { wake_now(); })) {
+  // Parked waits assume every post reaches the NIC at once.
+  if (ctx_.options().tx_batch != 1) {
+    throw std::invalid_argument(
+        "VerbsEndpoint: MPI does not gather sends (tx_batch must be 1)");
+  }
   qps_.resize(world_size_, nullptr);
+  core().engine().keep_history();
 }
 
 VerbsEndpoint::~VerbsEndpoint() {
@@ -304,6 +310,20 @@ sim::Task<bool> VerbsEndpoint::progress_from(Stage from, IdleWait* wait) {
 // instants with an ordinary event cannot be ordered: the engine stops the
 // run with std::logic_error (Engine::undecided_ties()).
 
+sim::Task<bool> VerbsEndpoint::parked_pass(IdleWait& wait, DoneFn done) {
+  bool progress = co_await progress_from(Stage::kSendPoll, &wait);
+  if (!progress) progress = co_await park_idle(wait, done);
+  // A wait that ends in its own step takes its chain with it: charge the
+  // parked steps that run before that step first, while the chain can
+  // still order them.
+  const sim::Engine& engine = core().engine();
+  if (engine.dispatch_key() == &wait && done()) {
+    catch_up(engine.now(), engine.queued_at());
+    settled_index_ = engine.dispatch_index();
+  }
+  co_return progress;
+}
+
 sim::Task<bool> VerbsEndpoint::park_idle(IdleWait& wait, DoneFn done) {
   sim::Engine& engine = core().engine();
   Parked p{&wait, {}};
@@ -342,12 +362,12 @@ sim::Task<bool> VerbsEndpoint::park_idle(IdleWait& wait, DoneFn done) {
     }
     const Stage rest = p.next.from == Resume::kAfterSendPoll ? Stage::kRecvPoll
                                                              : Stage::kFinish;
-    if (co_await progress_from(rest, &wait)) co_return true;
+    const bool progress = co_await progress_from(rest, &wait);
+    if (progress) co_return true;
   }
 }
 
 bool VerbsEndpoint::misses(const Parked& p, DoneFn done) const {
-  if (ctx_.pending() > 0) return false;
   switch (p.next.from) {
     case Resume::kAfterSendPoll:
       return rcq_->depth() == 0;
@@ -368,7 +388,7 @@ void VerbsEndpoint::park(Parked& p, DoneFn done) {
   // Park only when every step from here on misses until something wakes
   // the wait: nothing to harvest, nothing left over to charge or post.
   const bool quiet = scq_->depth() == 0 && rcq_->depth() == 0 &&
-                     ctx_.pending() == 0 && pending_copy_cost_ == 0 &&
+                     pending_copy_cost_ == 0 &&
                      (deferred_fins_.empty() || free_slots_.empty()) &&
                      !throws(p) && !done();
   if (!quiet) {
@@ -444,9 +464,13 @@ void VerbsEndpoint::catch_up(sim::Time t, sim::Time queued) {
       // Queued at the same instant as the event being dispatched: a step
       // of another wait orders through the chains; an ordinary event
       // cannot be ordered against it (counted: the engine stops the run).
-      const sim::StepKey* key = core().engine().dispatch_key();
+      // A wait of this endpoint that ended in this step settled it.
+      sim::Engine& engine = core().engine();
+      const sim::StepKey* key = engine.dispatch_key();
       if (key == nullptr) {
-        core().engine().count_undecided_tie();
+        const bool settled = engine.dispatch_is_step() &&
+                             settled_index_ == engine.dispatch_index();
+        if (!settled) engine.count_undecided_tie();
         break;
       }
       if (first->wait->order(*key) > 0) break;

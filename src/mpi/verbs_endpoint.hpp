@@ -122,14 +122,20 @@ class VerbsEndpoint final : public Endpoint, private os::ChargeObserver {
     }
   };
   bool chains(const IdleWait* wait) const {
-    return wait != nullptr && !ctx_.polls_in_kernel() && ctx_.pending() == 0;
+    return wait != nullptr && !ctx_.polls_in_kernel();
   }
 
-  sim::Task<bool> progress_in(IdleWait& wait) override {
-    return progress_from(Stage::kSendPoll, &wait);
+  /// Kernel-routed polls step through Endpoint::wait_pass; user-space
+  /// polls run parked_pass.
+  sim::Task<bool> wait_pass(IdleWait& wait, DoneFn done) override {
+    if (ctx_.polls_in_kernel()) return Endpoint::wait_pass(wait, done);
+    return parked_pass(wait, done);
   }
-  bool parks_when_idle() const override { return !ctx_.polls_in_kernel(); }
-  sim::Task<bool> park_idle(IdleWait& wait, DoneFn done) override;
+  sim::Task<bool> parked_pass(IdleWait& wait, DoneFn done);
+  /// Runs the idle passes after a progress pass that found nothing,
+  /// without simulating the ones that find nothing either; returns once
+  /// the loop should test `done` again, and whether progress was made.
+  sim::Task<bool> park_idle(IdleWait& wait, DoneFn done);
   /// Queue `p`'s next step, or park `p` when nothing can make it hit.
   void park(Parked& p, DoneFn done);
   /// Whether `p`'s next step, run now, would find nothing and change
@@ -226,6 +232,9 @@ class VerbsEndpoint final : public Endpoint, private os::ChargeObserver {
 
   Parked* waits_ = nullptr;  // idle waits, parked or stepping (a list)
   bool replaying_ = false;
+  // The dispatch in which a wait of this endpoint ended during its own
+  // step, after catching up the parked steps that run before it.
+  std::uint64_t settled_index_ = 0;
   sim::Engine::AlarmId alarm_;  // the parked waits' earliest deadline + 1
   sim::Time alarm_at_ = kNoAlarm;
   static constexpr sim::Time kNoAlarm = INT64_MAX;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -144,8 +145,14 @@ class Core {
   sim::Time time_kernel() const { return time_kernel_; }
   double spin_load() const { return spin_load_; }
 
-  /// Install (or clear, with nullptr) the one observer of this core.
-  void set_observer(ChargeObserver* o) { observer_ = o; }
+  /// Install (or clear, with nullptr) the one observer of this core;
+  /// throws std::logic_error if another one is installed.
+  void set_observer(ChargeObserver* o) {
+    if (o != nullptr && observer_ != nullptr && observer_ != o) {
+      throw std::logic_error("os::Core: the core already has an observer");
+    }
+    observer_ = o;
+  }
 
  private:
   void notify(Work kind) {

@@ -1,44 +1,54 @@
 // Discrete-event engine: a single-threaded virtual clock plus an event
-// queue of coroutine resumptions and callbacks. Deterministic: events run
-// in `(t, queued_at, seq)` order — by timestamp, then by the instant they
-// were queued, then by insertion sequence number. For events queued at
-// now() (all of them but the back-dated ones below) seq grows with the
-// queueing instant, so this is exactly the `(t, seq)` order.
+// queue of coroutine resumptions and callbacks. Deterministic: ties in
+// timestamp break by insertion sequence number, which grows with the
+// instant an event was queued at: every event runs in `(t, queued_at,
+// insertion)` order.
 //
 // Keyed steps. A waiter may queue its steps with a StepKey, the record of
 // its chain of steps: `schedule_at(t, key)` queues one at now() like any
 // event, `schedule_at(t, queued_at, key)` back-dates one that was queued
 // by a step the waiter never ran (it skipped simulating it), so that it
 // takes the place that step's event would have taken. Events that share
-// `(t, queued_at)` run in seq order, except that a back-dated step is
-// ordered against other keyed steps by their keys (StepKey::order), and
-// after ordinary events: those cannot be ordered against it. Such a pair,
-// or two keys that cannot tell their order, stops the run with
+// `(t, queued_at)` run in insertion order, except that a back-dated step
+// is ordered against other keyed steps by their keys (StepKey::order),
+// and after ordinary events: those cannot be ordered against it. Such a
+// pair, or two keys that cannot tell their order, stops the run with
 // std::logic_error rather than guess (undecided_ties()).
+//
+// Sequence numbers are `(instant << 24) | count`: `instant` counts the
+// distinct instants the clock has passed through, `count` the events
+// queued during one of them. A back-dated step takes the last number of
+// the last instant not later than its queueing instant, which puts it
+// after every event queued up to then and before every event queued
+// later; mapping that instant to its number needs the instants the clock
+// went through, which the engine records once asked (keep_history()).
 //
 // Hot-path design (the engine bounds the wall-clock of every figure
 // bench):
-//  * Heap items are 32-byte PODs `{t, queued_at, seq, payload}` — the
-//    payload is a tagged pointer: a coroutine frame address (tag 0), a
-//    pooled callback slot (tag 1), an alarm (tag 2) or a StepKey (tag
-//    4). Sift operations move four words, never the callable itself.
+//  * Heap items are 24-byte PODs `{t, seq, payload}` — the payload is a
+//    tagged pointer: a coroutine frame address (tag 0), a pooled
+//    callback slot (tag 1), an alarm (tag 2) or a StepKey (tag 4). Sift
+//    operations move three words, never the callable itself, and only
+//    two keyed steps at the same instant ever look past `(t, seq)`.
 //  * Callbacks live in `InlineFn` slots from a slab-backed freelist: a
 //    `call_at` constructs the callable directly in a recycled slot, so
 //    steady-state simulation performs zero allocations per event and the
 //    callable never moves once parked.
 //  * The queue is a hand-rolled 4-ary min-heap: shallower than a binary
 //    heap (fewer cache-missing levels per sift) and `reserve()`d up
-//    front. `seq` is unique, so pop order is a strict total order
-//    independent of heap layout.
+//    front. Ordering is the exact `(t, seq)` total order the old
+//    `std::priority_queue` used for every ordinary event — `seq` is
+//    unique, so pop order is a strict total order independent of heap
+//    layout, and every EXPERIMENTS.md number is unchanged.
 //  * Scheduling into the past clamps to `now()` in every build mode (the
 //    old `assert` vanished under NDEBUG and silently corrupted event
 //    order); `clamped_events()` counts occurrences for tests/debugging.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -55,6 +65,8 @@ class Tracer;
 
 namespace cord::sim {
 
+class Engine;
+
 /// A waiter's chain of steps, queued through the engine one at a time:
 /// the event resumes `handle`. order() ranks this chain's pending step
 /// against another chain's pending step with the same (t, queued_at): < 0
@@ -70,6 +82,11 @@ class StepKey {
 
  protected:
   ~StepKey() = default;
+
+ private:
+  friend class Engine;
+  Time queued_at_ = 0;  // of the pending step
+  bool backdated_ = false;
 };
 
 class Engine {
@@ -83,34 +100,51 @@ class Engine {
 
   /// Resume `h` at absolute time `t` (clamped to now() if in the past).
   void schedule_at(Time t, std::coroutine_handle<> h) {
-    queue_push(Item{clamp_to_now(t), now_, next_seq_++,
+    queue_push(Item{clamp_to_now(t), next_seq_++,
                     reinterpret_cast<std::uintptr_t>(h.address())});
   }
   /// Resume `key.handle` at `t`: the next step of `key`'s chain, queued
   /// now like any event.
   void schedule_at(Time t, StepKey& key) {
-    queue_push(Item{clamp_to_now(t), now_, next_seq_++, key_payload(key)});
+    key.queued_at_ = now_;
+    key.backdated_ = false;
+    push_keyed(Item{clamp_to_now(t), next_seq_++, key_payload(key)});
   }
   /// Back-dated: resume `key.handle` at `t`, ordered as if queued at
-  /// `queued_at` (<= now()) by a step of the chain that never ran.
-  /// Events at `t` queued before `queued_at` run first, events queued
-  /// after it run later, keyed steps queued at `queued_at` run in key
-  /// order; an ordinary event queued at `queued_at` cannot be ordered
-  /// against it, which stops the run (undecided_ties()).
-  void schedule_at(Time t, Time queued_at, StepKey& key) {
-    queue_push(Item{clamp_to_now(t), queued_at, next_seq_++ | kBackdated,
-                    key_payload(key)});
+  /// `queued_at` by a step of the chain that never ran. Events at `t`
+  /// queued before `queued_at` run first, events queued after it run
+  /// later, keyed steps queued at `queued_at` run in key order; an
+  /// ordinary event queued at `queued_at` cannot be ordered against it,
+  /// which stops the run (undecided_ties()). Requires keep_history()
+  /// since `queued_at` or earlier, and now() - kHistorySpan <= queued_at
+  /// <= now(); throws std::logic_error otherwise.
+  void schedule_at(Time t, Time queued_at, StepKey& key);
+  /// Start recording the instants the clock passes through, which
+  /// back-dating needs; a no-op once recording.
+  void keep_history();
+  /// How far back a step may be back-dated.
+  static constexpr Time kHistorySpan = us(100);
+  /// The instant at which the event being dispatched was queued, or
+  /// kLongAgo for an ordinary event queued more than kHistorySpan ago or
+  /// before keep_history(). With now() it places the current dispatch in
+  /// the event order: an event at (now(), queued_at()) runs before any at
+  /// (now(), q) for q > queued_at().
+  Time queued_at() const {
+    return (now_payload_ & kKeyTag) != 0 ? now_key_q_ : instant_of(now_seq_);
   }
-  /// The instant at which the event being dispatched was queued. With
-  /// now() it places the current dispatch in the event order: an event
-  /// at (now(), queued_at()) runs before any at (now(), q) for
-  /// q > queued_at().
-  Time queued_at() const { return now_q_; }
+  static constexpr Time kLongAgo = INT64_MIN;
   /// 1-based index of the event being dispatched, in dispatch order.
   std::uint64_t dispatch_index() const { return events_processed_; }
   /// The StepKey of the event being dispatched, nullptr unless it is a
-  /// keyed step.
-  const StepKey* dispatch_key() const { return now_key_; }
+  /// keyed step whose key is still alive (forget_key).
+  const StepKey* dispatch_key() const { return key_of(now_payload_); }
+  /// Whether the event being dispatched is a keyed step, alive or not.
+  bool dispatch_is_step() const { return (now_payload_ & kKeyTag) != 0; }
+  /// Called by a key that dies during its own step's dispatch: from then
+  /// on dispatch_key() is nullptr and the key is never read again.
+  void forget_key(const StepKey* key) {
+    if (dispatch_key() == key) now_payload_ = kKeyTag;
+  }
   /// Same-instant ties around back-dated steps whose order the keys could
   /// not decide. The first one stops run()/run_until() with
   /// std::logic_error: the run would otherwise guess an order that the
@@ -153,17 +187,14 @@ class Engine {
   /// behind: its queued entry pops without advancing now() or counting as
   /// an event. Alarms live as long as the engine.
   using AlarmId = std::size_t;
-  AlarmId add_alarm(InlineFn fn) {
-    alarms_.push_back(Alarm{kNever, kNever, std::move(fn)});
-    return alarms_.size() - 1;
-  }
+  AlarmId add_alarm(InlineFn fn);
   /// (Re)arm alarm `id` to fire at `t` (>= now()).
   void arm_alarm(AlarmId id, Time t) {
-    Alarm& a = alarms_[id];
+    Alarm& a = *alarms_[id];
     a.at = t;
-    if (a.queued > t) push_alarm(a);
+    if (a.queued > t) push_alarm(a, id);
   }
-  void disarm_alarm(AlarmId id) { alarms_[id].at = kNever; }
+  void disarm_alarm(AlarmId id) { alarms_[id]->at = kNever; }
 
   /// Detach a root task: it starts at the current time and owns itself.
   template <typename T>
@@ -188,11 +219,11 @@ class Engine {
   /// Run until the queue drains or virtual time would pass `deadline`.
   /// Events after `deadline` stay queued; now() is clamped to `deadline`.
   Time run_until(Time deadline) {
-    while (pending_ != 0 && undecided_ties_ == 0 && heap_.top().t <= deadline) {
+    while (pending_ != 0 && undecided_ties_ == 0 && next_t() <= deadline) {
       step_one();
     }
     if (undecided_ties_ != 0) [[unlikely]] throw_undecided();
-    if (now_ < deadline) now_ = deadline;
+    if (now_ < deadline) advance(deadline);
     return now_;
   }
 
@@ -245,17 +276,28 @@ class Engine {
   /// Pop and dispatch exactly one event (requires pending_ != 0): the body
   /// of both run loops.
   [[gnu::always_inline]] void step_one() {
-    const Item item = queue_pop();
-    if (item.payload & kAlarmTag) [[unlikely]] {
-      if (!alarm_due(item)) return;
-    } else if (item.seq & kBackdated) [[unlikely]] {
-      check_tie(item);
+    const Item item = keyed_.empty() ? queue_pop() : pop_merged();
+    if (item.payload & (kAlarmTag | kKeyTag)) [[unlikely]] {
+      if (!special_due(item)) return;
     }
-    now_ = item.t;
-    now_q_ = item.q;
-    now_key_ = key_of(item.payload);
+    if (item.t != now_) advance(item.t);
+    now_seq_ = item.seq;
+    now_payload_ = item.payload;
     dispatch(item.payload);
   }
+
+  /// The clock moves on to a new instant, which starts a new run of
+  /// sequence numbers.
+  [[gnu::always_inline]] void advance(Time t) {
+    now_ = t;
+    ++instant_;
+    // The instant before took the numbers up to here (the last one is
+    // reserved for back-dated steps).
+    const bool full = next_seq_ >= (instant_ << kCountBits) - 1;
+    next_seq_ = instant_ << kCountBits;
+    if (full | (hist_mask_ != 0)) [[unlikely]] advance_slow(full);
+  }
+  void advance_slow(bool full);
 
   // Payload tag bits. FnSlot, Alarm, StepKey and coroutine frames are all
   // aligned to at least 8, so the low three bits of the address are free.
@@ -263,15 +305,16 @@ class Engine {
   static constexpr std::uintptr_t kAlarmTag = 2;
   static constexpr std::uintptr_t kKeyTag = 4;
   static constexpr std::uintptr_t kTagMask = 7;
-  // Marks a back-dated step's seq.
-  static constexpr std::uint64_t kBackdated = std::uint64_t{1} << 63;
+  // Bits of a sequence number that count the events queued during one
+  // instant; the bits above number the instant.
+  static constexpr int kCountBits = 24;
 
   static std::uintptr_t key_payload(StepKey& key) {
     return reinterpret_cast<std::uintptr_t>(&key) | kKeyTag;
   }
-  static const StepKey* key_of(std::uintptr_t payload) {
+  static StepKey* key_of(std::uintptr_t payload) {
     return (payload & kKeyTag) != 0
-               ? reinterpret_cast<const StepKey*>(payload & ~kTagMask)
+               ? reinterpret_cast<StepKey*>(payload & ~kTagMask)
                : nullptr;
   }
   static constexpr Time kNever = INT64_MAX;
@@ -285,25 +328,45 @@ class Engine {
     FnSlot* next_free = nullptr;
   };
 
-  /// One queued event: a 32-byte POD moved by value through the heap.
-  /// The payload is a coroutine frame address, FnSlot* | kFnTag or
-  /// Alarm* | kAlarmTag.
+  /// One queued event: a 24-byte POD moved by value through the heap.
+  /// The payload is a coroutine frame address, FnSlot* | kFnTag,
+  /// Alarm* | kAlarmTag or StepKey* | kKeyTag.
   struct Item {
     Time t;
-    Time q;  // queued_at
     std::uint64_t seq;
     std::uintptr_t payload;
 
     bool before(const Item& o) const {
-      if (t != o.t) return t < o.t;
-      if (q != o.q) return q < o.q;
-      if (((seq | o.seq) & kBackdated) != 0) [[unlikely]] {
-        return backdated_before(*this, o);
-      }
-      return seq < o.seq;
+      return t != o.t ? t < o.t : seq < o.seq;
     }
   };
   static_assert(std::is_trivially_copyable_v<Item>);
+  static_assert(sizeof(Item) == 24);
+
+  /// The order of two keyed steps: by time, queueing instant, then by
+  /// their keys when one of them is back-dated (the others were queued in
+  /// sequence order). Sequence numbers agree with the first two, except
+  /// that back-dated steps share theirs. Against ordinary events a keyed
+  /// step orders by `(t, seq)` like any event.
+  static bool keyed_before(const Item& x, const Item& y) {
+    if (x.t != y.t) return x.t < y.t;
+    const StepKey& a = *key_of(x.payload);
+    const StepKey& b = *key_of(y.payload);
+    if (a.queued_at_ != b.queued_at_) return a.queued_at_ < b.queued_at_;
+    if (a.backdated_ || b.backdated_) return a.order(b) < 0;
+    return x.seq < y.seq;
+  }
+  static bool keyed_after(const Item& x, const Item& y) { return keyed_before(y, x); }
+
+  /// Keyed steps wait in their own small heap (keyed_), so that the main
+  /// queue's comparisons stay the branch-free `(t, seq)` order.
+  void push_keyed(Item item);
+  Item pop_merged();
+  Time next_t() const {
+    if (keyed_.empty()) return heap_.top().t;
+    if (heap_.empty()) return keyed_.front().t;
+    return std::min(heap_.top().t, keyed_.front().t);
+  }
 
   struct alignas(8) Alarm {
     Time at;      // armed instant, kNever when disarmed
@@ -311,45 +374,40 @@ class Engine {
     InlineFn fn;
   };
 
-  void push_alarm(Alarm& a) {
+  void push_alarm(Alarm& a, AlarmId id) {
     a.queued = a.at;
-    // Queued "before time began": sorts before everything at its instant.
-    queue_push(Item{a.at, -1, next_seq_++,
-                    reinterpret_cast<std::uintptr_t>(&a) | kAlarmTag});
+    // Numbered "before time began" (instant 0): sorts before everything
+    // at its instant.
+    queue_push(Item{a.at, id, reinterpret_cast<std::uintptr_t>(&a) | kAlarmTag});
   }
 
-  /// A popped alarm entry: fire if the alarm is armed for this instant,
-  /// otherwise vanish (re-queueing the alarm if it is armed later).
-  bool alarm_due(const Item& item) {
-    Alarm& a = *reinterpret_cast<Alarm*>(item.payload & ~kAlarmTag);
-    if (a.queued == item.t) a.queued = kNever;
-    if (a.at != item.t) {
-      if (a.at != kNever && a.queued == kNever) push_alarm(a);
-      return false;
-    }
-    a.at = kNever;
-    return true;
-  }
+  /// A popped alarm or keyed step, before it is dispatched: whether it
+  /// runs (a stale alarm entry does not).
+  bool special_due(const Item& item);
 
-  /// Order of two events with the same (t, queued_at), one of them a
-  /// back-dated step: keyed steps by their keys, ordinary events first.
-  static bool backdated_before(const Item& a, const Item& b) {
-    const StepKey* ka = key_of(a.payload);
-    const StepKey* kb = key_of(b.payload);
-    if (ka != nullptr && kb != nullptr) return ka->order(*kb) < 0;
-    return ka == nullptr;
-  }
   [[noreturn]] static void throw_undecided();
-  /// Counts a back-dated step dispatched right after an ordinary event
-  /// with the same (t, queued_at).
-  void check_tie(const Item& item) {
-    if (item.t == now_ && item.q == now_q_ && now_key_ == nullptr) {
-      ++undecided_ties_;
-    }
+  [[noreturn]] static void throw_too_many();
+
+  /// The instant of sequence number `seq`, or kLongAgo if it is no longer
+  /// (or not) recorded.
+  Time instant_of(std::uint64_t seq) const {
+    const std::uint64_t i = seq >> kCountBits;
+    if (i < hist_first_ || i + hist_.size() <= instant_) return kLongAgo;
+    return hist_[i & hist_mask_];
   }
+  void record_instant() {
+    // The slot to reuse holds the instant hist_.size() instants back;
+    // keep it while it is within the span back-dating may reach.
+    if (instant_ - hist_first_ >= hist_.size() &&
+        hist_[instant_ & hist_mask_] >= now_ - kHistorySpan) [[unlikely]] {
+      grow_history();
+    }
+    hist_[instant_ & hist_mask_] = now_;
+  }
+  void grow_history();
 
   /// 4-ary min-heap ordered by Item::before, fronted by a one-item cache.
-  /// `(t, q, seq)` is a strict total order (seq is unique), so pop order is
+  /// `(t, seq)` is a strict total order (seq is unique), so pop order is
   /// independent of internal layout — determinism rests on neither the
   /// arity nor the cache, only on always popping the global minimum.
   ///
@@ -501,7 +559,7 @@ class Engine {
   }
 
   void push_fn(Time t, FnSlot* slot) {
-    queue_push(Item{clamp_to_now(t), now_, next_seq_++,
+    queue_push(Item{clamp_to_now(t), next_seq_++,
                     reinterpret_cast<std::uintptr_t>(slot) | kFnTag});
   }
 
@@ -534,17 +592,33 @@ class Engine {
   static constexpr std::size_t kMaxCachedSlots = 8192;
 
   EventHeap heap_;
+  std::vector<Item> keyed_;  // keyed steps: a heap by keyed_before
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
   std::vector<Slab> slots_;
   std::size_t slab_slots_ = 64;  // next fresh-slab size; doubles to the cap
   FnSlot* free_slots_ = nullptr;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
-  std::deque<Alarm> alarms_;  // stable addresses: queued entries point here
+  // Boxed: queued entries point at them.
+  std::vector<std::unique_ptr<Alarm>> alarms_;
   Time now_ = 0;
-  Time now_q_ = 0;  // queued_at of the event being dispatched
-  const StepKey* now_key_ = nullptr;
-  std::uint64_t next_seq_ = 0;
+  // The instant now_ is the instant_-th the clock passed through (1-based;
+  // alarms are numbered in instant 0).
+  std::uint64_t instant_ = 1;
+  std::uint64_t next_seq_ = std::uint64_t{1} << kCountBits;
+  // The event being dispatched: its sequence number and payload, and its
+  // queueing instant if it is a keyed step.
+  std::uint64_t now_seq_ = 0;
+  std::uintptr_t now_payload_ = 0;
+  Time now_key_q_ = 0;
+  // The last ordinary event dispatched before the current keyed steps.
+  Time plain_t_ = 0;
+  std::uint64_t plain_seq_ = 0;
+  // Ring of recorded instants, by instant number (empty until
+  // keep_history()); numbers before hist_first_ were not recorded.
+  std::vector<Time> hist_;
+  std::size_t hist_mask_ = 0;  // hist_.size() - 1, 0 while not recording
+  std::uint64_t hist_first_ = 0;
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_events_ = 0;

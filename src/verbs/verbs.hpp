@@ -95,17 +95,17 @@ class Context {
   bool polls_in_kernel() const {
     return opts_.mode == DataplaneMode::kCord && opts_.poll_via_kernel;
   }
-  /// Everything a user-space poll_cq that finds its CQ empty accounts —
-  /// one data-plane op and a poll miss of spin on the core — charged
-  /// without suspending; returns the miss's scaled duration. poll_cq
-  /// charges its misses through here, and a waiter that stops simulating
-  /// its idle polls replays each one it skipped through here too.
   /// A user-space poll without suspending (requires !polls_in_kernel()
   /// and no gathered sends): harvests up to out.size() CQEs, accounts
   /// what poll_cq accounts and sets `took` to the scaled time the poll
   /// takes, which the caller waits out.
   std::size_t poll_now(nic::CompletionQueue& cq, std::span<nic::Cqe> out,
                        sim::Time& took);
+  /// Everything a user-space poll_cq that finds its CQ empty accounts —
+  /// one data-plane op and a poll miss of spin on the core — charged
+  /// without suspending; returns the miss's scaled duration. poll_cq
+  /// charges its misses through here, and a waiter that stops simulating
+  /// its idle polls replays each one it skipped through here too.
   sim::Time charge_empty_poll() {
     ++dataplane_ops_;
     return core_->charge(core_->model().poll_miss, os::Work::kSpin);

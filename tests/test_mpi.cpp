@@ -370,5 +370,32 @@ TEST(Deadlock, UnmatchedRecvTimesOutAtTheLoopsStep) {
     EXPECT_EQ(p.verbs_ops, c.verbs_ops);
   }
 }
+// --- two waits on one endpoint -------------------------------------------
+
+/// Each of `n` ranks exchanges with both ring neighbours through sendrecv:
+/// a rendezvous send (waiting for its FIN) and a receive wait on the same
+/// endpoint at once, on ranks that run in lockstep, so one wait often
+/// ends in its own poll step while the other is parked.
+sim::Time ring_sendrecv(NetMode net, int n, std::size_t bytes, int rounds) {
+  core::System sys(core::system_a(), 2);
+  World world(sys, n, {.net = net});
+  return world.run([=](Rank& r) -> sim::Task<> {
+    std::vector<std::byte> out(bytes, std::byte{1});
+    std::vector<std::byte> in(bytes);
+    const int right = (r.id() + 1) % r.size();
+    const int left = (r.id() + r.size() - 1) % r.size();
+    for (int i = 0; i < rounds; ++i) {
+      co_await r.sendrecv<std::byte>(right, i, out, left, i, in);
+      co_await r.compute(sim::us(3));
+    }
+  });
+}
+
+TEST(TwoWaits, RingSendrecvKeepsTheSteppingLoopsTimes) {
+  // Elapsed time captured from the step-by-step progress loop.
+  EXPECT_EQ(ring_sendrecv(NetMode::kBypass, 4, 65536, 6), 111642688);
+  EXPECT_EQ(ring_sendrecv(NetMode::kCord, 4, 65536, 6), 124804713);
+  EXPECT_EQ(ring_sendrecv(NetMode::kBypass, 8, 256, 20), 114194213);
+}
 }  // namespace
 }  // namespace cord::mpi

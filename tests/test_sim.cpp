@@ -120,6 +120,7 @@ auto backdated_step(Engine& e, TestKey& key, Time t, Time queued_at) {
 
 TEST(Engine, BackdatedStepRunsWhereItsQueuingInstantPutsIt) {
   Engine e;
+  e.keep_history();
   std::vector<int> order;
   // Queued at 0 and at 10 for t = 20; the step is queued at 10, back-dated
   // to 5: it runs between them.
@@ -138,6 +139,7 @@ TEST(Engine, BackdatedStepRunsWhereItsQueuingInstantPutsIt) {
 
 TEST(Engine, KeyedStepsWithTheSameInstantsRunInKeyOrder) {
   Engine e;
+  e.keep_history();
   std::vector<int> order;
   TestKey low(1);
   TestKey high(2);
@@ -157,6 +159,7 @@ TEST(Engine, UndecidableTieStopsTheRun) {
   // An ordinary event and a back-dated step, both queued at 10 for t = 20:
   // nothing tells their order.
   Engine e;
+  e.keep_history();
   TestKey key(1);
   e.spawn([](Engine& e, TestKey& key) -> Task<> {
     co_await e.delay(10);
@@ -165,6 +168,81 @@ TEST(Engine, UndecidableTieStopsTheRun) {
   }(e, key));
   EXPECT_THROW(e.run(), std::logic_error);
   EXPECT_EQ(e.undecided_ties(), 1u);
+}
+
+/// Suspend and resume as `key`'s step at `t`, queued now.
+auto keyed_step(Engine& e, TestKey& key, Time t) {
+  struct Awaiter {
+    Engine& e;
+    TestKey& key;
+    Time t;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      key.handle = h;
+      e.schedule_at(t, key);
+    }
+    void await_resume() const {}
+  };
+  return Awaiter{e, key, t};
+}
+
+TEST(Engine, UndecidableTieStopsTheRunWithAKeyedStepInBetween) {
+  // All three queued at 10 for t = 20, and run as: the ordinary event
+  // (first in sequence), the keyed step (its key ranks first), the
+  // back-dated step. The ordinary event and the back-dated step still
+  // cannot be ordered.
+  Engine e;
+  e.keep_history();
+  TestKey first(1);
+  TestKey second(2);
+  std::vector<int> order;
+  e.spawn([](Engine& e, TestKey& key, std::vector<int>& order) -> Task<> {
+    co_await e.delay(10);
+    e.call_at(20, [&order] { order.push_back(0); });
+    co_await keyed_step(e, key, 20);
+    order.push_back(key.id);
+  }(e, first, order));
+  e.spawn([](Engine& e, TestKey& key, std::vector<int>& order) -> Task<> {
+    co_await e.delay(10);
+    co_await backdated_step(e, key, 20, 10);
+    order.push_back(key.id);
+  }(e, second, order));
+  EXPECT_THROW(e.run(), std::logic_error);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(e.undecided_ties(), 1u);
+}
+
+TEST(Engine, KeyForgottenDuringItsStepIsNeverReadAgain) {
+  Engine e;
+  e.keep_history();
+  bool checked = false;
+  e.spawn([](Engine& e, bool& checked) -> Task<> {
+    co_await e.delay(10);
+    {
+      TestKey key(1);
+      co_await backdated_step(e, key, 20, 5);
+      EXPECT_EQ(e.dispatch_key(), &key);
+      e.forget_key(&key);
+    }
+    EXPECT_EQ(e.dispatch_key(), nullptr);
+    EXPECT_TRUE(e.dispatch_is_step());
+    EXPECT_EQ(e.queued_at(), 5);
+    checked = true;
+  }(e, checked));
+  e.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(Engine, BackdatingNeedsTheRecordedInstants) {
+  Engine e;
+  TestKey key(1);
+  EXPECT_THROW(e.schedule_at(10, 0, key), std::logic_error) << "no history kept";
+  e.keep_history();
+  e.call_at(Engine::kHistorySpan + 10, [&] {
+    EXPECT_THROW(e.schedule_at(e.now() + 10, 5, key), std::logic_error)
+        << "beyond kHistorySpan";
+  });
+  e.run();
 }
 
 TEST(Engine, AlarmFiresFirstAtItsInstantAndVanishesWhenDisarmed) {
