@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace cord::core {
 
@@ -67,39 +68,42 @@ SystemConfig system_a() {
   return c;
 }
 
+namespace {
+
+void require_rate(sim::Bandwidth bw, const char* field) {
+  // Unlimited (0 ps/byte) is a valid rate; 0, negative or NaN Gbit/s are
+  // not (a 0 Gbit/s rate is infinite ps/byte, which time_for would pass
+  // to llround).
+  if (!bw.is_unlimited() && !(bw.gbps() > 0.0)) {
+    throw std::invalid_argument(std::string("SystemConfig: ") + field +
+                                " must be a positive rate");
+  }
+}
+
+SystemConfig validated(SystemConfig cfg) {
+  if (cfg.nic.mtu == 0) {
+    throw std::invalid_argument("SystemConfig: nic.mtu must be > 0");
+  }
+  require_rate(cfg.wire_bandwidth, "wire_bandwidth");
+  require_rate(cfg.loopback_bandwidth, "loopback_bandwidth");
+  require_rate(cfg.nic.pcie_bandwidth, "nic.pcie_bandwidth");
+  require_rate(cfg.cpu.memcpy_bandwidth, "cpu.memcpy_bandwidth");
+  return cfg;
+}
+
+}  // namespace
+
 System::System(SystemConfig cfg, std::size_t host_count)
-    : cfg_(std::move(cfg)), network_(engine_), tracer_(engine_) {
+    : cfg_(validated(std::move(cfg))), network_(engine_), tracer_(engine_) {
   for (std::size_t i = 0; i < host_count; ++i) {
     network_.add_node(static_cast<nic::NodeId>(i), cfg_.loopback_bandwidth,
                       cfg_.loopback_delay);
   }
-  switch (cfg_.wiring) {
-    case SystemConfig::Wiring::kFullMesh:
-      for (std::size_t i = 0; i < host_count; ++i) {
-        for (std::size_t j = i + 1; j < host_count; ++j) {
-          network_.connect(static_cast<nic::NodeId>(i),
-                           static_cast<nic::NodeId>(j), cfg_.wire_bandwidth,
-                           cfg_.wire_propagation);
-        }
-      }
-      break;
-    case SystemConfig::Wiring::kPairs:
-      for (std::size_t i = 0; i + 1 < host_count; i += 2) {
-        network_.connect(static_cast<nic::NodeId>(i),
-                         static_cast<nic::NodeId>(i + 1), cfg_.wire_bandwidth,
-                         cfg_.wire_propagation);
-      }
-      break;
-    case SystemConfig::Wiring::kRack: {
-      const fabric::RackConfig& rack = cfg_.rack;
-      if (rack.host_count() != host_count) {
-        throw std::invalid_argument(
-            "System: rack topology (" + std::to_string(rack.racks) + " x " +
-            std::to_string(rack.hosts_per_rack) + " hosts) does not match "
-            "host_count = " + std::to_string(host_count));
-      }
-      fabric::build_rack(network_, rack);
-      break;
+  for (std::size_t i = 0; i < host_count; ++i) {
+    for (std::size_t j = i + 1; j < host_count; ++j) {
+      network_.connect(static_cast<nic::NodeId>(i),
+                       static_cast<nic::NodeId>(j), cfg_.wire_bandwidth,
+                       cfg_.wire_propagation);
     }
   }
   for (std::size_t i = 0; i < host_count; ++i) {

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/topology.hpp"
+#include "fabric/link.hpp"
 #include "os/conn.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
@@ -54,19 +54,6 @@ struct SystemConfig {
   /// set and host memory bounded at millions of logical connections.
   os::ConnMode conn_mode = os::ConnMode::kExclusive;
   std::uint32_t shared_qp_pool = 64;
-
-  /// Fabric topology between hosts.
-  enum class Wiring {
-    kFullMesh,  ///< every host pair linked (the default, matches the paper)
-    kPairs,     ///< hosts (2k, 2k+1) linked only — a link-partitioned fabric
-                ///< with no cross-pair links
-    kRack,      ///< leaf-spine: hosts -> ToR switches -> spine, routed paths
-                ///< (rack shape and per-tier parameters from `rack`)
-  };
-  Wiring wiring = Wiring::kFullMesh;
-  /// Rack shape when wiring == kRack. rack.host_count() must equal the
-  /// System's host_count.
-  fabric::RackConfig rack;
 };
 
 /// The paper's local testbed (defaults as benchmarked: Turbo disabled).
@@ -76,8 +63,14 @@ SystemConfig system_l_turbo();
 /// The Azure HB120 testbed.
 SystemConfig system_a();
 
+/// A full mesh of `host_count` hosts: every host pair has its own direct
+/// link at the config's wire bandwidth and propagation.
 class System {
  public:
+  /// Throws std::invalid_argument, naming the field, for a config that
+  /// cannot be simulated: nic.mtu == 0, or a wire, loopback, PCIe or
+  /// memcpy bandwidth that is not a positive rate (e.g. built from
+  /// 0 Gbit/s, which would make every transfer take forever).
   explicit System(SystemConfig cfg, std::size_t host_count = 2);
 
   sim::Engine& engine() { return engine_; }

@@ -131,10 +131,13 @@ sim::Task<> VerbsEndpoint::post_slot_message(int dst, const WireHeader& hdr,
 sim::Task<> VerbsEndpoint::send(int dst, int tag, std::span<const std::byte> data) {
   if (dst == rank_) {
     // Self-sends do not touch the network (MPI implementations shortcut
-    // them in memory even with shared memory disabled).
+    // them in memory even with shared memory disabled). deliver_eager
+    // accrues the one copy; charge it here, not on the next pass.
     wake_now();
     deliver_eager(rank_, tag, data);
-    co_await core().work(core().memcpy_time(data.size()), os::Work::kCompute);
+    const sim::Time cost = pending_copy_cost_;
+    pending_copy_cost_ = 0;
+    co_await core().work(cost, os::Work::kCompute);
     co_return;
   }
   if (data.size() <= cfg_.eager_threshold) {

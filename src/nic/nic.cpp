@@ -307,7 +307,7 @@ void Nic::sq_drain_burst(QueuePair& qp) {
   // Each WQE's downstream chain is reserved with earliest = f_k — the
   // reservation an event at engine-time f_k would make, given the
   // single-active-writer resources of the NIC model (the argument
-  // reserve_dst_chain documents).
+  // remote_send_arrival documents).
   counters_.sq_fused_batches++;
   const std::uint32_t qpn = qp.qpn();
   sim::Time last = engine_->now();
@@ -375,9 +375,8 @@ Nic::SenderMeta Nic::meta_of(const SendWr& wr) {
                     wr.signaled};
 }
 
-sim::Time Nic::reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
-                                 std::uint32_t wire_bytes, bool skip_src_dma,
-                                 sim::Time at) {
+sim::Time Nic::reserve_chunk(const fabric::Hop& hop, std::uint32_t chunk,
+                             bool skip_src_dma, sim::Time at) {
   // dma_latency is pipeline depth, not occupancy: reservations on the
   // shared DMA engine consume only the transfer time, and the fixed
   // latency shifts the readiness of every chunk afterwards. Folding the
@@ -390,50 +389,23 @@ sim::Time Nic::reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
           ? at
           : dma_rd_.reserve_at(at, cfg_.pcie_bandwidth.time_for(chunk)) +
                 cfg_.dma_latency;
-  return p.reserve_src(s, wire_bytes);
+  // The wire carries the payload plus the *sender's* per-packet header.
+  return hop.reserve(s, chunk + cfg_.header_bytes);
 }
 
-std::vector<Nic::ChunkArrival> Nic::schedule_chain_src(Nic& dst,
-                                                       std::uint64_t bytes,
-                                                       bool skip_src_dma,
-                                                       sim::Time at) {
-  fabric::Path p = network_->path(node_, dst.node_);
+std::vector<Nic::ChunkArrival> Nic::schedule_wire(Nic& dst, std::uint64_t bytes,
+                                                  bool skip_src_dma,
+                                                  sim::Time at) {
+  const fabric::Hop hop = network_->path(node_, dst.node_);
   std::vector<ChunkArrival> out;
   out.reserve(chunk_count(bytes, cfg_.mtu));
   counters_.seg_msgs++;
   for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
-    // Source-side segment only: on a routed path these are the uplink
-    // hops; the arrival timestamp is the chunk crossing the segment
-    // boundary (== delivery for a direct wire).
-    const std::uint32_t wire = chunk + cfg_.header_bytes;
-    const sim::Time w = reserve_src_chunk(p, chunk, wire, skip_src_dma, at);
-    out.push_back(ChunkArrival{w, chunk, wire});
+    out.push_back(ChunkArrival{reserve_chunk(hop, chunk, skip_src_dma, at),
+                               chunk});
   });
   counters_.seg_chunks += out.size();
   return out;
-}
-
-Nic::TxTimes Nic::reserve_dst_chain(const fabric::Path& p,
-                                    const std::vector<ChunkArrival>& chunks,
-                                    bool include_dma) {
-  // Runs at the first chunk's boundary-arrival time. A reservation with
-  // earliest = chunk arrival made now is identical to the one the fused
-  // schedule_chain made at source-process time whenever the destination
-  // segment's resources have a single active writer (start = max(now,
-  // earliest, next_free), and now <= every chunk arrival here) — which
-  // holds for the request/response and streaming patterns of the test
-  // topologies.
-  TxTimes t{engine_->now(), engine_->now()};
-  for (const ChunkArrival& c : chunks) {
-    t.wire_done = p.reserve_dst(c.at, c.wire_bytes);
-    t.delivered =
-        include_dma
-            ? dma_wr_.reserve_at(t.wire_done,
-                                 cfg_.pcie_bandwidth.time_for(c.bytes)) +
-                  cfg_.dma_latency
-            : t.wire_done;
-  }
-  return t;
 }
 
 // One record per pipeline stage of a WQE's execution, future-dated from
@@ -480,7 +452,7 @@ void Nic::trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
 
 sim::Time Nic::dma_fetch_time(std::uint64_t len) const {
   // Summed PCIe occupancy of the payload's MTU chunks — the same
-  // segmentation schedule_chain_src reserves, reproduced arithmetically
+  // segmentation schedule_wire reserves, reproduced arithmetically
   // so the fused and UD paths trace identical service durations.
   sim::Time total = 0;
   for_each_chunk(len, cfg_.mtu, [&](std::uint32_t chunk) {
@@ -521,17 +493,16 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   switch (wr.opcode) {
     case Opcode::kSend:
     case Opcode::kSendWithImm: {
-      // UD takes the boundary-split path: the unreliable send completes at
-      // its local wire egress — the end of the path's source-side segment
-      // (the tier-climbing prefix; see Path::src_hops). On a direct wire
-      // the boundary IS the delivery.
+      // UD takes the split path: the unreliable send completes when its
+      // last chunk has crossed the wire, and the destination reserves its
+      // DMA writes when the first chunk arrives.
       if (is_ud) {
-        auto arrivals = schedule_chain_src(*dst, len, wr.inline_data, at);
+        auto arrivals = schedule_wire(*dst, len, wr.inline_data, at);
         const sim::Time wire_done = arrivals.back().at;
         const sim::Time posted = at;
         if (engine_->tracer() != nullptr) [[unlikely]] {
           // kWireTx and kDmaDeliver are emitted on arrival, which
-          // computes the true wire arrival past the boundary.
+          // reserves the destination DMA writes.
           trace_fetch(sqpn, wr, len, at, fetch_cost);
         }
         sender_complete(sqpn, wr, WcStatus::kSuccess,
@@ -550,8 +521,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
                          }));
         break;
       }
-      TxTimes t = schedule_chain(*dst, len, wr.inline_data,
-                                 /*include_dst_dma=*/true, at);
+      TxTimes t = schedule_chain(*dst, len, wr.inline_data, at);
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, len, at, fetch_cost);
       }
@@ -567,8 +537,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     }
     case Opcode::kRdmaWrite:
     case Opcode::kRdmaWriteWithImm: {
-      TxTimes t = schedule_chain(*dst, len, wr.inline_data,
-                                 /*include_dst_dma=*/true, at);
+      TxTimes t = schedule_chain(*dst, len, wr.inline_data, at);
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, len, at, fetch_cost);
       }
@@ -582,13 +551,9 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
       break;
     }
     case Opcode::kRdmaRead: {
-      // Header-only read request towards the responder: it reserves only
-      // the source-side segment and rides the non-contending ctrl lane
-      // over the destination side.
-      fabric::Path rp = network_->path(node_, dst->node_);
+      // Header-only read request towards the responder.
       const sim::Time req_arrive =
-          rp.reserve_src(at, cfg_.header_bytes) +
-          rp.dst_latency(cfg_.header_bytes);
+          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
@@ -601,13 +566,9 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     }
     case Opcode::kFetchAdd:
     case Opcode::kCompareSwap: {
-      // The request carries the operands (header-sized on the wire). Like
-      // the read request: source-side reservation + ctrl-lane latency over
-      // the destination side.
-      fabric::Path rp = network_->path(node_, dst->node_);
+      // The request carries the operands (header-sized on the wire).
       const sim::Time req_arrive =
-          rp.reserve_src(at, cfg_.header_bytes) +
-          rp.dst_latency(cfg_.header_bytes);
+          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
@@ -624,9 +585,19 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
 void Nic::remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
                               std::vector<ChunkArrival> arrivals, Nic& src,
                               std::uint32_t src_qpn, sim::Time posted) {
-  const fabric::Path p = network_->path(src.node(), node_);
-  const auto [wire_done, delivered] =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true);
+  // Runs at the first chunk's arrival. A reservation with earliest =
+  // chunk arrival made now is identical to the one the fused
+  // schedule_chain makes at source-process time whenever dma_wr_ has a
+  // single active writer (start = max(now, earliest, next_free), and
+  // now <= every chunk arrival here) — which holds for the
+  // request/response and streaming patterns of the tests.
+  sim::Time wire_done = 0;
+  sim::Time delivered = 0;
+  for (const ChunkArrival& c : arrivals) {
+    wire_done = c.at;
+    delivered = dma_wr_.reserve_at(c.at, cfg_.pcie_bandwidth.time_for(c.bytes)) +
+                cfg_.dma_latency;
+  }
   if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
     // The kWireTx record mirrors the fused path's byte-for-byte: dated at
     // the source's post time, on the source node, spanning the full wire
@@ -686,10 +657,8 @@ void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
   // Response carries the old value back; the requester DMA-writes it into
   // the caller's 8-byte buffer and completes.
   engine_->call_at(done, [this, wr, old_value, &src, src_qpn] {
-    fabric::Path p = network_->path(node_, src.node());
-    const sim::Time arrive =
-        p.reserve_src(engine_->now(), cfg_.ack_bytes + 8) +
-        p.dst_latency(cfg_.ack_bytes + 8);
+    const sim::Time arrive = network_->path(node_, src.node())
+                                 .reserve(engine_->now(), cfg_.ack_bytes + 8);
     engine_->call_at(arrive,
                      sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
                                     addr = wr->sge.addr, old_value] {
@@ -875,7 +844,7 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
   processing_.reserve(cfg_.rx_processing);
   counters_.rx_msgs++;  // the read request itself
   TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false,
-                             /*include_dst_dma=*/true, engine_->now());
+                             engine_->now());
   counters_.tx_bytes += len;
   engine_->call_at(t.delivered, [this, wr, len, &src, src_qpn] {
     if (len > 0)
@@ -888,36 +857,23 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
 }
 
 void Nic::send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn) {
-  // The ctrl packet serializes on the path's source-side segment and
-  // rides a non-contending priority lane over the destination side
-  // (dst_latency), so ctrl packets never contend on destination-side
-  // downlinks, even under converging traffic.
-  fabric::Path p = network_->path(node_, dst.node());
-  const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
-                           p.dst_latency(cfg_.ack_bytes);
+  const sim::Time arrive =
+      network_->path(node_, dst.node()).reserve(earliest, cfg_.ack_bytes);
   engine_->call_at(arrive + dst.cfg_.ack_processing, std::move(fn));
 }
 
-Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
-                                 bool include_dst_dma, sim::Time at) {
-  fabric::Path p = network_->path(node_, dst.node_);
+Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes,
+                                 bool skip_src_dma, sim::Time at) {
+  const fabric::Hop hop = network_->path(node_, dst.node_);
   TxTimes t{at, at};
   counters_.seg_msgs++;
   counters_.seg_chunks += chunk_count(bytes, cfg_.mtu);
   for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
-    // Store-and-forward over the routed path: source-side hops, then
-    // destination-side hops — the same reservations, in the same order,
-    // that the split schedule_chain_src + reserve_dst_chain pair makes.
-    const std::uint32_t wire = chunk + cfg_.header_bytes;
-    const sim::Time boundary =
-        reserve_src_chunk(p, chunk, wire, skip_src_dma, at);
-    t.wire_done = p.reserve_dst(boundary, wire);
+    t.wire_done = reserve_chunk(hop, chunk, skip_src_dma, at);
     t.delivered =
-        include_dst_dma
-            ? dst.dma_wr_.reserve_at(t.wire_done,
-                                     dst.cfg_.pcie_bandwidth.time_for(chunk)) +
-                  dst.cfg_.dma_latency
-            : t.wire_done;
+        dst.dma_wr_.reserve_at(t.wire_done,
+                               dst.cfg_.pcie_bandwidth.time_for(chunk)) +
+        dst.cfg_.dma_latency;
   });
   return t;
 }
@@ -953,12 +909,11 @@ void Nic::sender_complete_now(std::uint32_t qpn, const SenderMeta& m,
 
 void Nic::ctrl_complete(Nic& requester, sim::Time earliest,
                         std::uint32_t requester_qpn, SenderMeta m) {
-  // Same wire/priority-lane model as send_ctrl; the callback lands one
-  // cqe_write later and executes the completion directly, so a successful
-  // ACK costs one requester-side event instead of two.
-  fabric::Path p = network_->path(node_, requester.node());
-  const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
-                           p.dst_latency(cfg_.ack_bytes);
+  // Same wire model as send_ctrl; the callback lands one cqe_write later
+  // and executes the completion directly, so a successful ACK costs one
+  // requester-side event instead of two.
+  const sim::Time arrive = network_->path(node_, requester.node())
+                               .reserve(earliest, cfg_.ack_bytes);
   engine_->call_at(
       arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
       sim::InlineFn([req = &requester, requester_qpn, m] {

@@ -164,49 +164,32 @@ class Nic {
   };
   static SenderMeta meta_of(const SendWr& wr);
 
-  /// One MTU chunk crossing the path's source/destination boundary (UD
-  /// sends): for a direct wire, arrival at the destination NIC; for a
-  /// routed path, the instant it clears the last source-side hop. The
-  /// sender computes these from its DMA-fetch + uplink reservations; the
-  /// receiver replays its downlink + DMA-write reservations from them with
-  /// the same timestamps the fused schedule_chain would have produced.
+  /// One MTU chunk of a UD send at its arrival at the destination NIC.
+  /// The sender computes these from its DMA-fetch and wire reservations;
+  /// the receiver reserves its DMA writes from them at arrival time.
   struct ChunkArrival {
     sim::Time at = 0;
     std::uint32_t bytes = 0;  ///< payload bytes (sizes the dst DMA write)
-    /// Bytes on the wire: payload plus the *sender's* per-packet header.
-    /// Carried with the chunk so the receiver replays the suffix-hop
-    /// reservations with the same wire size the fused schedule_chain
-    /// uses — with heterogeneous per-NIC header_bytes the receiver's
-    /// config would differ.
-    std::uint32_t wire_bytes = 0;
   };
 
   static std::byte* mem(std::uintptr_t addr) {
     return reinterpret_cast<std::byte*>(addr);
   }
 
-  /// Reserve the pipelined resource chain for `bytes` towards `dst`. `at`
-  /// is the WQE's processing-done time: >= now, and ahead of now when the
+  /// Reserve the pipelined resource chain for `bytes` towards `dst`:
+  /// per MTU chunk, source DMA fetch, wire, destination DMA write. `at` is
+  /// the WQE's processing-done time: >= now, and ahead of now when the
   /// fused burst drain reserves a whole burst from one event.
   TxTimes schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
-                         bool include_dst_dma, sim::Time at);
-  /// Source half of schedule_chain (UD sends): reserves the local DMA
-  /// fetch + the path's source-side hops, returns per-chunk boundary
-  /// arrivals for the destination to finish via reserve_dst_chain.
-  std::vector<ChunkArrival> schedule_chain_src(Nic& dst, std::uint64_t bytes,
-                                               bool skip_src_dma, sim::Time at);
-  /// One chunk of the source-side chain: DMA fetch (unless inline) then
-  /// the path's source-side hops, earliest-started at `at`.
-  sim::Time reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
-                              std::uint32_t wire_bytes, bool skip_src_dma,
-                              sim::Time at);
-  /// Destination half: replays the destination-side hop (+ optionally
-  /// DMA-write) reservations of schedule_chain from the boundary arrivals
-  /// (called at the first chunk's arrival time). `p` is the forward path
-  /// the chunks traveled (src towards this NIC).
-  TxTimes reserve_dst_chain(const fabric::Path& p,
-                            const std::vector<ChunkArrival>& chunks,
-                            bool include_dma);
+                         sim::Time at);
+  /// The chain without the destination DMA writes (UD sends): returns
+  /// each chunk's arrival, from which remote_send_arrival reserves them.
+  std::vector<ChunkArrival> schedule_wire(Nic& dst, std::uint64_t bytes,
+                                          bool skip_src_dma, sim::Time at);
+  /// One chunk's DMA fetch (unless inline) and wire crossing on `hop`,
+  /// earliest-started at `at`; returns its arrival at the destination.
+  sim::Time reserve_chunk(const fabric::Hop& hop, std::uint32_t chunk,
+                          bool skip_src_dma, sim::Time at);
 
   void kick(QueuePair& qp, std::uint32_t trace_span = 0);
   /// One drain round: runs the fused SoA burst drain, or deactivates the
@@ -245,9 +228,9 @@ class Nic {
   void handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
                              Nic& src, std::uint32_t src_qpn);
 
-  /// UD arrival at the first chunk's boundary time: replays the
-  /// destination-side reservations (reserve_dst_chain), re-pools the WR
-  /// locally and enters handle_send_arrival (unreliable: no RNR retries).
+  /// UD arrival at the first chunk's arrival time: reserves the
+  /// destination DMA writes, re-pools the WR locally and enters
+  /// handle_send_arrival (unreliable: no RNR retries).
   void remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
                            std::vector<ChunkArrival> arrivals, Nic& src,
                            std::uint32_t src_qpn, sim::Time posted);

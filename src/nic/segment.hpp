@@ -2,11 +2,10 @@
 //
 // A message of `bytes` payload is cut into MTU-sized chunks; a
 // zero-length message (doorbell-only send, pure-immediate write) still
-// occupies exactly one header-only chunk on the wire. Both facts used to
-// live implicitly in three copies of the same do/while loop
-// (schedule_chain, schedule_chain_src, reserve_dst_chain); they are the
-// segmentation contract, so they live here once, where the chunk-count
-// arithmetic and the iteration can't drift apart.
+// occupies exactly one header-only chunk on the wire. Both facts are the
+// segmentation contract, so they live here once (used by schedule_chain,
+// schedule_wire and dma_fetch_time), where the chunk-count arithmetic and
+// the iteration can't drift apart.
 #pragma once
 
 #include <algorithm>

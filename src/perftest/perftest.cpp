@@ -42,7 +42,7 @@ struct Setup {
   bool use_inline = false;
   std::uint32_t recv_len = 0;  // sink slot length (payload + GRH for UD)
   std::uint32_t slots = 1;     // receive slots carved out of `sink`
-  nic::NodeId server_node = 1; // last host (1 on the classic two-host wire)
+  nic::NodeId server_node = 1;  // the client runs on host 0
 };
 
 /// Receive-slot sizing: bandwidth tests rotate through several slots so a
@@ -52,7 +52,6 @@ sim::Task<> establish(Setup& s, core::System& sys, const Params& p,
   s.sys = &sys;
   s.is_ud = p.transport == Transport::kUD;
   s.slots = slots;
-  s.server_node = static_cast<nic::NodeId>(sys.host_count() - 1);
   verbs::ContextOptions copts = p.client;
   verbs::ContextOptions sopts = p.server;
   if (p.tx_batch > 1) {
@@ -394,9 +393,6 @@ void validate(const Params& p) {
   if (p.warmup < 0) throw std::invalid_argument("warmup must be >= 0");
   if (p.tx_depth == 0) throw std::invalid_argument("tx_depth must be >= 1");
   if (p.tx_batch == 0) throw std::invalid_argument("tx_batch must be >= 1");
-  if (p.racks > 0 && p.hosts_per_rack == 0) {
-    throw std::invalid_argument("hosts_per_rack must be >= 1");
-  }
   if (p.transport == Transport::kUD && p.op != TestOp::kSend) {
     throw std::invalid_argument("UD supports only send/recv");
   }
@@ -405,23 +401,10 @@ void validate(const Params& p) {
   }
 }
 
-std::size_t topo_hosts(const Params& p) {
-  return p.racks == 0 ? 2 : p.racks * p.hosts_per_rack;
-}
-
-/// The SystemConfig for the requested topology: unchanged for the classic
-/// two-host wire; a leaf-spine rack fabric whose access links inherit the
-/// config's wire bandwidth/propagation when Params::racks >= 1.
-core::SystemConfig topo_config(core::SystemConfig cfg, const Params& p) {
+/// The SystemConfig with the run's connection-endpoint mode applied.
+core::SystemConfig conn_config(core::SystemConfig cfg, const Params& p) {
   cfg.conn_mode = p.conn_mode;
   cfg.shared_qp_pool = p.shared_qp_pool;
-  if (p.racks > 0) {
-    cfg.wiring = core::SystemConfig::Wiring::kRack;
-    cfg.rack.racks = p.racks;
-    cfg.rack.hosts_per_rack = p.hosts_per_rack;
-    cfg.rack.host_bandwidth = cfg.wire_bandwidth;
-    cfg.rack.host_propagation = cfg.wire_propagation;
-  }
   return cfg;
 }
 
@@ -435,7 +418,7 @@ void arm_tracing(core::System& sys, const Params& p) {
 
 LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(topo_config(cfg, p), topo_hosts(p));
+  core::System sys(conn_config(cfg, p));
   LatencyResult result;
   // Lives outside the workload coroutine: straggler NIC events (in-flight
   // deliveries past the last harvested completion) still reference these
@@ -486,7 +469,7 @@ LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
 
 BandwidthResult run_bandwidth(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(topo_config(cfg, p), topo_hosts(p));
+  core::System sys(conn_config(cfg, p));
   BandwidthResult result;
   // Outlives the coroutine frame; see run_latency.
   Setup s;

@@ -48,14 +48,6 @@ struct Params {
   verbs::ContextOptions client{};
   verbs::ContextOptions server{};
   Knobs knobs{};
-  /// Rack topology: 0 racks = the classic two-host back-to-back wire.
-  /// With racks >= 1 the System is wired as a leaf-spine fabric
-  /// (SystemConfig::Wiring::kRack) over racks * hosts_per_rack hosts; the
-  /// client runs on host 0, the server on the last host (the far corner
-  /// of the topology), and the access-link bandwidth/propagation follow
-  /// the SystemConfig's wire parameters.
-  std::size_t racks = 0;
-  std::size_t hosts_per_rack = 2;
   /// Connection-endpoint mode (the conn=exclusive|shared knob, forwarded
   /// to SystemConfig::conn_mode; see os/conn.hpp). Only the tenancy
   /// scenarios (perftest/tenancy.hpp) multiplex connections — the classic

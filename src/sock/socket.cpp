@@ -47,13 +47,10 @@ sim::Task<int> Socket::send(os::Core& core, std::span<const std::byte> data) {
     stack.segments_tx_++;
     stack.bytes_tx_ += seg;
 
-    // Wire occupancy on the shared fabric (every hop of the routed path —
-    // the socket stack runs single-engine, so reserving the destination
-    // side from here is safe), then receive-side kernel path.
-    fabric::Path path = stack.network_->path(stack.host_->node(),
-                                             peer_stack.host_->node());
+    // Wire occupancy on the shared fabric, then receive-side kernel path.
     const sim::Time wire_done =
-        path.reserve_all(tx_done + cfg.nic_overhead, seg + 78);  // IPoIB hdrs
+        stack.network_->path(stack.host_->node(), peer_stack.host_->node())
+            .reserve(tx_done + cfg.nic_overhead, seg + 78);  // IPoIB hdrs
     const sim::Time rx_busy = cfg.stack_rx / cfg.service_cores +
                               cfg.kernel_touch.time_for(seg);
     const sim::Time rx_done =

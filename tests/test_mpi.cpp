@@ -132,6 +132,40 @@ TEST(PointToPoint, TruncationThrows) {
       std::runtime_error);
 }
 
+// A rank that sends to itself into its own posted receive copies the
+// payload once, in memory: its core is charged exactly one memcpy_time(n)
+// of compute for the pair, in every mode.
+TEST(PointToPoint, SelfSendIntoPostedReceiveChargesOneCopy) {
+  for (NetMode net : kAllModes) {
+    SCOPED_TRACE("net=" + std::to_string(static_cast<int>(net)));
+    sim::Time one_copy = 0;
+    sim::Time charged = 0;
+    run_world(2, net, [&](Rank& r) -> sim::Task<> {
+      if (r.id() != 0) co_return;
+      constexpr std::size_t kN = 16 * 1024;
+      std::vector<std::byte> in(kN, std::byte{0x3c});
+      std::vector<std::byte> out(kN);
+      os::Core& core = r.core();
+      const sim::Time c0 = core.time_compute();
+      co_await core.do_memcpy(kN);
+      one_copy = core.time_compute() - c0;
+
+      sim::Joinable rx(core.engine(),
+                       [](Rank& r, std::span<std::byte> out) -> sim::Task<> {
+                         (void)co_await r.recv<std::byte>(0, 5, out);
+                       }(r, out));
+      co_await core.engine().delay(sim::us(1));  // the receive is posted
+      const sim::Time before = core.time_compute();
+      co_await r.send<std::byte>(0, 5, in);
+      co_await rx.join();
+      charged = core.time_compute() - before;
+      if (out != in) throw std::runtime_error("self-send payload mismatch");
+    });
+    EXPECT_GT(one_copy, 0);
+    EXPECT_EQ(charged, one_copy);
+  }
+}
+
 TEST(Collectives, BarrierCompletesForOddAndEvenSizes) {
   for (int n : {2, 3, 8, 13}) {
     run_world(n, NetMode::kBypass, [](Rank& r) -> sim::Task<> {
